@@ -41,6 +41,7 @@ from .markowitz import (
     portfolio_chain_scale,
     objective,
     run_experiment,
+    run_grid,
     sample_simplex,
     shift_window,
     synthetic_instance,

@@ -17,7 +17,6 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 
 from .deviations import parse_policy
 from .exceptions import (
@@ -32,7 +31,7 @@ from .markowitz import (
     estimate_moments,
     load_returns_csv,
     portfolio_chain_scale,
-    run_experiment,
+    run_grid,
     sample_simplex,
     shift_window,
     synthetic_instance,
@@ -249,16 +248,6 @@ def cmd_solve(args):
     return EXIT_OK if result.converged else EXIT_MAX_ITER
 
 
-def _worker_count(n_jobs):
-    env = os.environ.get("SPLITDEV_THREADS")
-    if env is not None:
-        cap = int(env)
-        if cap < 1:
-            raise ValueError("SPLITDEV_THREADS must be a positive integer")
-        return min(cap, max(n_jobs, 1))
-    return min(max(n_jobs, 1), os.cpu_count() or 1)
-
-
 def _slug(text):
     return "".join(ch if ch.isalnum() or ch in "._-" else "-" for ch in text)
 
@@ -291,36 +280,23 @@ def cmd_experiment(args):
         ref_tol = float(cfg.get("ref_tol", 1e-12))
         max_iter = int(cfg.get("max_iter", 10 ** 6))
         out_dir = cfg.get("output_dir", ".")
-        cells = [(case, scheme, policy) for case in cases
-                 for scheme in schemes for policy in policies]
-        workers = _worker_count(len(cells))
+        policy_names = [parse_policy(policy).name for policy in policies]
     except (SplitdevError, KeyError, TypeError, ValueError) as exc:
         return _fail(f"invalid experiment config: {exc}", EXIT_BAD_CONFIG)
 
-    def run_cell(cell):
-        case, scheme_kind, policy = cell
-        try:
-            report = run_experiment(data, scheme_kind=scheme_kind,
-                                    policy=policy, case=case, seeds=seeds,
-                                    delta=delta, theta=theta, gamma=gamma,
-                                    xi=xi, tol=tol, ref_tol=ref_tol,
-                                    max_iter=max_iter)
-            return cell, report, None
-        except SplitdevError as exc:
-            return cell, None, f"{type(exc).__name__}: {exc}"
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        outcomes = list(pool.map(run_cell, cells))
-
+    outcomes = run_grid(data, cases, schemes, policies, seeds, delta=delta,
+                        theta=theta, gamma=gamma, xi=xi, tol=tol,
+                        ref_tol=ref_tol, max_iter=max_iter)
+    cells = [(case, scheme, policy_name) for case in cases
+             for scheme in schemes for policy_name in policy_names]
     lines = ["case,scheme,policy,mean_iters,std_iters,n_seeds"]
     n_failed = 0
-    for cell, report, error in outcomes:
-        case, scheme_kind, policy = cell
-        policy_name = parse_policy(policy).name
+    for (case, scheme_kind, policy_name), report in zip(cells, outcomes):
         base = f"case{case}_{_slug(str(scheme_kind))}_{_slug(policy_name)}"
-        if report is None:
+        if isinstance(report, SplitdevError):
             n_failed += 1
             lines.append(f"{case},{scheme_kind},{policy_name},,,0")
+            error = f"{type(report).__name__}: {report}"
             _write_atomic(os.path.join(out_dir, f"cell_{base}.json"),
                           _dump_json({"status": "failed", "error": error,
                                       "case": case, "scheme": str(scheme_kind),

@@ -26,6 +26,7 @@ from .exceptions import (
     InvalidParameterError,
     OracleFailureError,
     ShapeError,
+    SplitdevError,
 )
 from .operators import (
     CocoerciveOp,
@@ -52,6 +53,7 @@ __all__ = [
     "objective",
     "build_problem",
     "portfolio_chain_scale",
+    "run_grid",
     "run_experiment",
 ]
 
@@ -309,55 +311,95 @@ def _reference_solution(problem, scheme, schedule, ref_tol, max_iter):
     return ref.x
 
 
-def run_experiment(data, scheme_kind="chain_fb", policy="zero", case=1,
-                   seeds=range(50), delta=6.0, theta=1.0, gamma=0.9, xi=0.9,
-                   tol=1e-8, ref_tol=1e-12, max_iter=10 ** 6):
-    """Iteration-count experiment over seeded starting allocations.
+def run_grid(data, cases=(1,), schemes=("chain_fb",), policies=("zero",),
+             seeds=range(50), delta=6.0, theta=1.0, gamma=0.9, xi=0.9,
+             tol=1e-8, ref_tol=1e-12, max_iter=10 ** 6):
+    """Iteration-count experiment over a (case, scheme, policy) grid.
 
-    For every seed: draw x0 uniformly on the simplex, build the problem on
-    the given returns window, compute the reference solution x* by a
-    deviation-free run to residual ``ref_tol``, then run the policy under
-    test until ||x_n^k - x*|| < tol and record the iteration count.
+    For every cell and seed: draw x0 uniformly on the simplex, build the
+    problem on the given returns window, compute the reference solution x*
+    by a deviation-free run to residual ``ref_tol``, then run the policy
+    under test until ||x_n^k - x*|| < tol and record the iteration count.
 
     Case 1 prices on the window as given.  Case 2 rebalances 20 periods
     later: the starting allocation is the Case-1 solution for the same seed
-    and the moments are re-estimated on the shifted window.
-    """
-    if case not in (1, 2):
-        raise InvalidParameterError(f"case must be 1 or 2, got {case}")
-    seeds = list(seeds)
-    if not seeds:
-        raise InvalidParameterError("need at least one seed")
-    schedule = ParamSchedule(gamma=gamma, xi=xi, theta=theta)
-    base_moments = estimate_moments(data)
-    late_moments = estimate_moments(shift_window(data)) if case == 2 else None
+    and scheme, and the moments are re-estimated on the shifted window.
 
-    records = []
-    scheme_name = None
-    for seed in seeds:
-        x0 = sample_simplex(data.assets, seed)
-        if case == 2:
-            mp1 = MarkowitzProblem(base_moments[0], base_moments[1], delta, x0)
-            prob1 = build_problem(mp1)
-            scheme1, _ = _scheme_for(prob1, scheme_kind, theta)
-            x0 = _reference_solution(prob1, scheme1, schedule, ref_tol,
-                                     max_iter)
-            moments = late_moments
-        else:
-            moments = base_moments
-        mp = MarkowitzProblem(moments[0], moments[1], delta, x0)
-        problem = build_problem(mp)
-        scheme, scheme_name = _scheme_for(problem, scheme_kind, theta)
-        reference = _reference_solution(problem, scheme, schedule, ref_tol,
-                                        max_iter)
-        run = solve(problem, scheme, schedule=schedule,
-                    policy=parse_policy(policy),
-                    stop=StopRule(tol=tol, max_iter=max_iter,
-                                  reference=reference))
-        err = float(np.linalg.norm(run.x - reference))
-        records.append(RunRecord(seed=seed, iterations=run.iterations,
-                                 converged=run.converged, final_error=err,
-                                 trajectory=run.trajectory))
-    policy_name = parse_policy(policy).name
-    return ExperimentReport(scheme=scheme_name, policy=policy_name, case=case,
-                            tol=tol, records=records)
+    References do not depend on the policy: each (case, scheme, seed)
+    reference is solved once, lazily in cell order, and shared by every
+    policy.  Returns one entry per cell, ordered by case, then scheme, then
+    policy: an ExperimentReport, or the SplitdevError the cell raised.
+    """
+    cases, schemes, policies, seeds = map(list, (cases, schemes, policies,
+                                                 seeds))
+    schedule = ParamSchedule(gamma=gamma, xi=xi, theta=theta)
+    memo = {}  # case -> moments; (case, scheme index, seed) -> reference
+
+    def memoized(key, compute):
+        if key not in memo:
+            try:
+                memo[key] = compute()
+            except SplitdevError as exc:
+                memo[key] = exc
+        if isinstance(memo[key], SplitdevError):
+            raise memo[key]
+        return memo[key]
+
+    def moments(case):
+        return memoized(case, lambda: estimate_moments(
+            data if case == 1 else shift_window(data)))
+
+    def reference(case, k, seed):
+        def compute():
+            x0 = (sample_simplex(data.assets, seed) if case == 1
+                  else reference(1, k, seed)[3])
+            problem = build_problem(MarkowitzProblem(*moments(case), delta,
+                                                     x0))
+            scheme, name = _scheme_for(problem, schemes[k], theta)
+            return problem, scheme, name, _reference_solution(
+                problem, scheme, schedule, ref_tol, max_iter)
+        return memoized((case, k, seed), compute)
+
+    def run_cell(case, k, policy):
+        if case not in (1, 2):
+            raise InvalidParameterError(f"case must be 1 or 2, got {case}")
+        if not seeds:
+            raise InvalidParameterError("need at least one seed")
+        moments(1)  # a case-2 cell presolves on the base window
+        moments(case)
+        records = []
+        for seed in seeds:
+            problem, scheme, scheme_name, x_ref = reference(case, k, seed)
+            run = solve(problem, scheme, schedule=schedule,
+                        policy=parse_policy(policy),
+                        stop=StopRule(tol=tol, max_iter=max_iter,
+                                      reference=x_ref))
+            records.append(RunRecord(
+                seed=seed, iterations=run.iterations, converged=run.converged,
+                final_error=float(np.linalg.norm(run.x - x_ref)),
+                trajectory=run.trajectory))
+        return ExperimentReport(scheme=scheme_name,
+                                policy=parse_policy(policy).name, case=case,
+                                tol=tol, records=records)
+
+    outcomes = []
+    for case in cases:
+        for k in range(len(schemes)):
+            for policy in policies:
+                try:
+                    outcomes.append(run_cell(case, k, policy))
+                except SplitdevError as exc:
+                    outcomes.append(exc)
+    return outcomes
+
+
+def run_experiment(data, scheme_kind="chain_fb", policy="zero", case=1,
+                   seeds=range(50), delta=6.0, theta=1.0, gamma=0.9, xi=0.9,
+                   tol=1e-8, ref_tol=1e-12, max_iter=10 ** 6):
+    """One cell of ``run_grid``: the report, or the cell's error raised."""
+    [outcome] = run_grid(data, [case], [scheme_kind], [policy], seeds,
+                         delta=delta, theta=theta, gamma=gamma, xi=xi,
+                         tol=tol, ref_tol=ref_tol, max_iter=max_iter)
+    if isinstance(outcome, SplitdevError):
+        raise outcome
+    return outcome

@@ -35,7 +35,7 @@ from splitdev import (
     project_simplex,
     prox_shifted_l1,
     prox_shifted_power32,
-    run_experiment,
+    run_grid,
     sample_simplex,
     solve,
     synthetic_instance,
@@ -345,18 +345,20 @@ def test_criterion_8_markowitz_oracle_agreement():
 def test_criterion_9_deviation_benefit():
     t0 = time.perf_counter()
     data = synthetic_instance(seed=0, days=200, assets=53)
-    held_out = [777]
-    best = None
-    for beta in (0.2, 0.3, 0.4, 0.5):
-        rep = run_experiment(data, policy=f"momentum:beta={beta},rho=0.05",
-                             case=1, seeds=held_out)
-        if best is None or rep.iterations[0] < best[1]:
-            best = (beta, rep.iterations[0])
-    beta = best[0]
-    seeds = range(50)
-    zero = run_experiment(data, policy="zero", case=1, seeds=seeds)
-    mom = run_experiment(data, policy=f"momentum:beta={beta},rho=0.05",
-                         case=1, seeds=seeds)
+
+    def grid(policies, seeds):
+        # one run_grid call shares each seed's reference between policies
+        reports = run_grid(data, cases=[1], policies=policies, seeds=seeds)
+        for rep in reports:
+            if isinstance(rep, Exception):
+                raise rep
+        return reports
+
+    betas = (0.2, 0.3, 0.4, 0.5)
+    tuning = grid([f"momentum:beta={b},rho=0.05" for b in betas], [777])
+    held_out = [rep.iterations[0] for rep in tuning]
+    beta = betas[held_out.index(min(held_out))]
+    zero, mom = grid(["zero", f"momentum:beta={beta},rho=0.05"], range(50))
     wins = sum(m < z for m, z in zip(mom.iterations, zero.iterations))
     dt = time.perf_counter() - t0
     _report(9, wins >= 30 and dt < 120.0,

@@ -173,8 +173,7 @@ def test_experiment_empty_seed_list_rejected(tmp_path):
     assert main(["experiment", cfg]) == 2
 
 
-def test_experiment_deterministic(tmp_path, monkeypatch):
-    monkeypatch.setenv("SPLITDEV_THREADS", "2")
+def test_experiment_deterministic(tmp_path):
     blobs = []
     for name in ("a", "b"):
         out = tmp_path / name
@@ -187,8 +186,11 @@ def test_experiment_deterministic(tmp_path, monkeypatch):
     assert blobs[0] == blobs[1]
 
 
-def test_experiment_rejects_bad_thread_cap(tmp_path, monkeypatch):
-    monkeypatch.setenv("SPLITDEV_THREADS", "0")
+@pytest.mark.parametrize("spec", ["bogus", 5])
+def test_experiment_bad_policy_exit_code(tmp_path, spec):
     out = tmp_path / "out"
-    cfg = experiment_config(tmp_path, out)
+    cfg = experiment_config(tmp_path, out,
+                            grid={"cases": [1], "schemes": ["chain_fb"],
+                                  "policies": ["zero", spec]})
     assert main(["experiment", cfg]) == 2
+    assert not out.exists() or not any(out.iterdir())

@@ -9,6 +9,7 @@ from splitdev import (
     InvalidParameterError,
     MarketData,
     MarkowitzProblem,
+    OracleFailureError,
     ParamSchedule,
     ShapeError,
     StopRule,
@@ -19,13 +20,15 @@ from splitdev import (
     objective,
     portfolio_chain_scale,
     run_experiment,
+    run_grid,
     sample_simplex,
     shift_window,
     solve,
     synthetic_instance,
 )
+from splitdev import markowitz
 from splitdev.solver import SolverState, step
-from splitdev.deviations import ZeroPolicy
+from splitdev.deviations import ZeroPolicy, parse_policy
 
 from oracles import markowitz_reference
 
@@ -243,3 +246,73 @@ def test_run_experiment_validates_arguments():
         run_experiment(data, case=3, seeds=[0])
     with pytest.raises(InvalidParameterError):
         run_experiment(data, case=1, seeds=[])
+
+
+GRID_POLICIES = ["zero", "momentum:beta=0.35,rho=0.05", "randball:seed=3"]
+
+
+def test_run_grid_solves_each_reference_once(monkeypatch):
+    data = synthetic_instance(seed=0, days=60, assets=4)
+    kinds = []
+    original = markowitz.solve
+
+    def counting_solve(*args, stop=None, **kwargs):
+        kinds.append("reference" if stop.reference is None else "policy")
+        return original(*args, stop=stop, **kwargs)
+
+    monkeypatch.setattr(markowitz, "solve", counting_solve)
+    reports = run_grid(data, cases=[1, 2], policies=GRID_POLICIES,
+                       seeds=[0, 1], ref_tol=1e-10)
+    assert len(reports) == 6
+    # one reference per (case, seed); case 2 presolves from the case-1 one
+    assert kinds.count("reference") == 4
+    assert kinds.count("policy") == 12
+
+
+def _case2_iterations_from_scratch(data, policy, seed, ref_tol):
+    """One case-2 run spelled out: presolve, reference, policy solve."""
+    def chain_solve(moments, x0, tol, policy=None, reference=None):
+        prob = build_problem(MarkowitzProblem(*moments, 6.0, x0))
+        sc = chain_fb(3, 2, prob.lipschitz,
+                      scale=portfolio_chain_scale(data.assets))
+        return solve(prob, sc, schedule=ParamSchedule(gamma=0.9, xi=0.9),
+                     policy=policy,
+                     stop=StopRule(tol=tol, reference=reference))
+
+    x0 = chain_solve(estimate_moments(data),
+                     sample_simplex(data.assets, seed), ref_tol).x
+    late = estimate_moments(shift_window(data))
+    x_ref = chain_solve(late, x0, ref_tol).x
+    return chain_solve(late, x0, 1e-8, parse_policy(policy), x_ref).iterations
+
+
+def test_run_grid_matches_run_experiment_per_cell():
+    data = synthetic_instance(seed=0, days=60, assets=4)
+    reports = run_grid(data, cases=[1, 2], policies=GRID_POLICIES,
+                       seeds=[0, 1], ref_tol=1e-10)
+    cells = [(case, policy) for case in (1, 2) for policy in GRID_POLICIES]
+    for (case, policy), rep in zip(cells, reports):
+        alone = run_experiment(data, policy=policy, case=case, seeds=[0, 1],
+                               ref_tol=1e-10)
+        assert (rep.case, rep.scheme, rep.policy) == \
+            (alone.case, alone.scheme, alone.policy)
+        assert rep.iterations == alone.iterations
+        for got, want in zip(rep.records, alone.records):
+            assert got.final_error == want.final_error
+            assert got.trajectory.to_csv_text() == \
+                want.trajectory.to_csv_text()
+    momentum_case2 = reports[4]
+    assert momentum_case2.iterations == [
+        _case2_iterations_from_scratch(data, GRID_POLICIES[1], seed, 1e-10)
+        for seed in (0, 1)]
+
+
+def test_run_grid_reports_failed_reference_on_every_cell():
+    data = synthetic_instance(seed=0, days=60, assets=4)
+    reports = run_grid(data, cases=[1, 2], policies=["zero", "momentum"],
+                       seeds=[0, 1], max_iter=5)
+    assert len(reports) == 4
+    assert all(isinstance(rep, OracleFailureError) for rep in reports)
+    with pytest.raises(OracleFailureError) as alone:
+        run_experiment(data, case=2, seeds=[0, 1], max_iter=5)
+    assert {str(rep) for rep in reports} == {str(alone.value)}
