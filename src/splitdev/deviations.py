@@ -43,8 +43,8 @@ class PolicyWindow:
     dw: np.ndarray | None = None
 
 
-def deviation_cost(u, v, gamma_next, theta, lipschitz):
-    """Left-hand side of the budget inequality for the pair (u, v)."""
+def _cost_parts(u, v, gamma_next, theta, lipschitz):
+    """The u term and the v term of the budget inequality's left-hand side."""
     if not 0.0 < gamma_next < 1.0:
         raise InvalidInputError("gamma must lie strictly between 0 and 1")
     cv = (gamma_next / (1.0 - gamma_next)) * float(np.sum(np.square(v)))
@@ -53,6 +53,12 @@ def deviation_cost(u, v, gamma_next, theta, lipschitz):
     if L.size:
         cu = (gamma_next * (1.0 + theta) / 2.0) * float(
             L @ np.sum(np.square(u), axis=1))
+    return cu, cv
+
+
+def deviation_cost(u, v, gamma_next, theta, lipschitz):
+    """Left-hand side of the budget inequality for the pair (u, v)."""
+    cu, cv = _cost_parts(u, v, gamma_next, theta, lipschitz)
     return cv + cu
 
 
@@ -70,10 +76,7 @@ def enforce_budget(u_raw, v_raw, budget, gamma_next, theta, lipschitz,
     v_raw = np.asarray(v_raw, dtype=float)
     if budget <= 0.0:
         return np.zeros_like(u_raw), np.zeros_like(v_raw)
-    cv = deviation_cost(np.zeros_like(u_raw), v_raw, gamma_next, theta,
-                        lipschitz)
-    cu = deviation_cost(u_raw, np.zeros_like(v_raw), gamma_next, theta,
-                        lipschitz)
+    cu, cv = _cost_parts(u_raw, v_raw, gamma_next, theta, lipschitz)
     cap_v = rho * budget
     cap_u = (1.0 - rho) * budget
     scale_v = 1.0 if cv <= cap_v else np.sqrt(cap_v / cv)

@@ -156,6 +156,45 @@ def test_affine_monotone_resolvent_solves_the_inclusion():
     np.testing.assert_allclose(x + 0.7 * (A @ x + b), y, atol=1e-10)
     with pytest.raises(ShapeError):
         affine_monotone(np.eye(2), np.zeros(3))
+    # The kept inverse agrees with a fresh solve, for a symmetric PSD A and
+    # a nonsymmetric monotone A (PSD plus skew), with stepsizes interleaved
+    # and repeated.
+    p = 12
+    G = rng.normal(size=(p, p))
+    K = rng.normal(size=(p, p))
+    steps = rng.uniform(0.05, 5.0, size=4)
+    for A in (G @ G.T / p, G @ G.T / p + (K - K.T)):
+        b = rng.normal(size=p)
+        op = affine_monotone(A, b)
+        for d in np.concatenate([steps, steps[::-1], np.repeat(steps, 3)]):
+            y = rng.normal(size=p)
+            want = np.linalg.solve(np.eye(p) + d * A, y - d * b)
+            got = op.resolvent(d, y)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_affine_monotone_inverts_once_per_stepsize(monkeypatch):
+    inverted = []
+    inv = np.linalg.inv
+
+    def counting_inv(a):
+        inverted.append(a.shape)
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
+    op = affine_monotone(np.diag([1.0, 2.0, 3.0]), np.ones(3))
+    for k in range(100):
+        op.resolvent(0.3, np.full(3, float(k)))
+    assert len(inverted) == 1
+    op.resolvent(1.7, np.ones(3))
+    assert len(inverted) == 2
+
+
+def test_affine_monotone_rejects_bad_stepsize():
+    op = affine_monotone(np.eye(2), np.zeros(2))
+    for d in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(InvalidInputError):
+            op.resolvent(d, np.ones(2))
 
 
 def test_zero_monotone_resolvent_is_identity():
