@@ -276,6 +276,9 @@ def cmd_experiment(args):
         gamma = float(sched_cfg.get("gamma", 0.9))
         xi = float(sched_cfg.get("xi", 0.9))
         theta = float(sched_cfg.get("theta", 1.0))
+        # run_grid builds this schedule; building it here checks its values
+        # before any solve or file write
+        ParamSchedule(gamma=gamma, xi=xi, theta=theta)
         tol = float(cfg.get("tol", 1e-8))
         ref_tol = float(cfg.get("ref_tol", 1e-12))
         max_iter = int(cfg.get("max_iter", 10 ** 6))

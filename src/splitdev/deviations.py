@@ -11,6 +11,7 @@ theirs to choose, and ``enforce_budget`` rescales whatever they propose back
 inside the budget.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,12 +48,12 @@ def _cost_parts(u, v, gamma_next, theta, lipschitz):
     """The u term and the v term of the budget inequality's left-hand side."""
     if not 0.0 < gamma_next < 1.0:
         raise InvalidInputError("gamma must lie strictly between 0 and 1")
-    cv = (gamma_next / (1.0 - gamma_next)) * float(np.sum(np.square(v)))
+    cv = (gamma_next / (1.0 - gamma_next)) * float(np.square(v).sum())
     L = np.asarray(lipschitz, dtype=float)
     cu = 0.0
     if L.size:
         cu = (gamma_next * (1.0 + theta) / 2.0) * float(
-            L @ np.sum(np.square(u), axis=1))
+            L @ np.square(u).sum(axis=1))
     return cu, cv
 
 
@@ -79,8 +80,8 @@ def enforce_budget(u_raw, v_raw, budget, gamma_next, theta, lipschitz,
     cu, cv = _cost_parts(u_raw, v_raw, gamma_next, theta, lipschitz)
     cap_v = rho * budget
     cap_u = (1.0 - rho) * budget
-    scale_v = 1.0 if cv <= cap_v else np.sqrt(cap_v / cv)
-    scale_u = 1.0 if cu <= cap_u else np.sqrt(cap_u / cu)
+    scale_v = 1.0 if cv <= cap_v else math.sqrt(cap_v / cv)
+    scale_u = 1.0 if cu <= cap_u else math.sqrt(cap_u / cu)
     return scale_u * u_raw, scale_v * v_raw
 
 
@@ -97,7 +98,7 @@ class DeviationPolicy:
 
     def _zeros(self, window, lipschitz):
         p = window.dz.shape[-1]
-        return (np.zeros((len(lipschitz), p)), np.zeros_like(window.dz))
+        return np.zeros((len(lipschitz), p)), np.zeros(window.dz.shape)
 
 
 class ZeroPolicy(DeviationPolicy):
@@ -129,9 +130,8 @@ class MomentumPolicy(DeviationPolicy):
         return f"momentum:beta={self.beta:g},rho={self.rho:g}"
 
     def produce(self, window, budget, gamma_next, theta, lipschitz):
-        u0, v0 = self._zeros(window, lipschitz)
         if window.k == 0 or window.dw is None:
-            return u0, v0
+            return self._zeros(window, lipschitz)
         v_raw = self.beta * window.dz
         u_raw = self.beta * window.dw
         return enforce_budget(u_raw, v_raw, budget, gamma_next, theta,
@@ -158,7 +158,8 @@ class RandomBallPolicy(DeviationPolicy):
 
     def _ball(self, shape):
         g = self._rng.standard_normal(shape)
-        norm = np.linalg.norm(g)
+        flat = g.ravel()
+        norm = math.sqrt(flat.dot(flat))
         if norm == 0.0 or g.size == 0:
             return np.zeros(shape)
         radius = self._rng.uniform() ** (1.0 / g.size)

@@ -32,10 +32,11 @@ from .operators import (
     CocoerciveOp,
     MonotoneOp,
     Problem,
+    _checked_point,
+    _shrink_l1,
+    _shrink_power32,
     estimate_cocoercivity,
     project_simplex,
-    prox_shifted_l1,
-    prox_shifted_power32,
 )
 from .scheme import Scheme, chain_fb
 from .solver import ParamSchedule, StopRule, solve
@@ -176,7 +177,9 @@ class MarkowitzProblem:
     def __post_init__(self):
         Lam = np.asarray(self.Lambda, dtype=float)
         r = np.asarray(self.r, dtype=float)
-        x0 = np.asarray(self.x0, dtype=float)
+        # a private read-only copy: the resolvents rely on this finite check
+        x0 = np.array(self.x0, dtype=float)
+        x0.flags.writeable = False
         if Lam.ndim != 2 or Lam.shape[0] != Lam.shape[1]:
             raise ShapeError("Lambda must be square")
         p = Lam.shape[0]
@@ -218,10 +221,11 @@ def build_problem(mp):
     projection (so the last primal block is always feasible).  Forward
     order: quadratic gradient Lambda x - r, then the ridge delta x.
     """
-    x0 = mp.x0
+    x0 = mp.x0  # finite and read-only (MarkowitzProblem), so only y is checked
     F = (
-        MonotoneOp(lambda d, y: prox_shifted_l1(d, x0, y), label="l1 cost"),
-        MonotoneOp(lambda d, y: prox_shifted_power32(d, x0, y),
+        MonotoneOp(lambda d, y: _shrink_l1(d, x0, _checked_point(d, y)),
+                   label="l1 cost"),
+        MonotoneOp(lambda d, y: _shrink_power32(d, x0, _checked_point(d, y)),
                    label="power-3/2 cost"),
         MonotoneOp(lambda d, y: project_simplex(y), label="simplex"),
     )
@@ -328,7 +332,9 @@ def run_grid(data, cases=(1,), schemes=("chain_fb",), policies=("zero",),
     References do not depend on the policy: each (case, scheme, seed)
     reference is solved once, lazily in cell order, and shared by every
     policy.  Returns one entry per cell, ordered by case, then scheme, then
-    policy: an ExperimentReport, or the SplitdevError the cell raised.
+    policy: an ExperimentReport, or the SplitdevError the cell raised.  An
+    out-of-range gamma, xi or theta raises InvalidInputError before any
+    cell runs.
     """
     cases, schemes, policies, seeds = map(list, (cases, schemes, policies,
                                                  seeds))

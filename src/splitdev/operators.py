@@ -6,6 +6,7 @@ plus cocoercive operators B_1, ..., B_m accessed through plain evaluation.
 The solver looks for x with 0 in (sum_i F_i + sum_j B_j)(x).
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -34,8 +35,33 @@ __all__ = [
 
 
 def _check_finite(name, a):
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise InvalidInputError(f"{name} contains non-finite entries")
+
+
+def _check_weight(lam):
+    if not 0.0 < lam < math.inf:
+        raise InvalidInputError("prox weight must be positive and finite")
+
+
+def _checked_point(lam, s):
+    """The prox weight and evaluation point checked; s as a float array."""
+    _check_weight(lam)
+    s = np.asarray(s, dtype=float)
+    _check_finite("s", s)
+    return s
+
+
+def _shrink_l1(lam, c, s):
+    d = s - c
+    return c + np.sign(d) * np.maximum(np.abs(d) - lam, 0.0)
+
+
+def _shrink_power32(lam, c, s):
+    d = s - c
+    half = 0.75 * lam  # (3 lam / 2) / 2
+    q = np.sqrt(half * half + np.abs(d)) - half
+    return c + np.sign(d) * q * q
 
 
 def prox_shifted_l1(lam, c, s):
@@ -51,14 +77,12 @@ def prox_shifted_l1(lam, c, s):
     c, s : array_like
         Shift point and evaluation point, broadcast together.
     """
-    if not np.isfinite(lam) or lam <= 0:
-        raise InvalidInputError("prox weight must be positive and finite")
+    _check_weight(lam)
     c = np.asarray(c, dtype=float)
     s = np.asarray(s, dtype=float)
     _check_finite("c", c)
     _check_finite("s", s)
-    d = s - c
-    return c + np.sign(d) * np.maximum(np.abs(d) - lam, 0.0)
+    return _shrink_l1(lam, c, s)
 
 
 def prox_shifted_power32(lam, c, s):
@@ -70,16 +94,12 @@ def prox_shifted_power32(lam, c, s):
     at the shift except when s_i = c_i exactly, because the power 3/2 has a
     vanishing derivative there.
     """
-    if not np.isfinite(lam) or lam <= 0:
-        raise InvalidInputError("prox weight must be positive and finite")
+    _check_weight(lam)
     c = np.asarray(c, dtype=float)
     s = np.asarray(s, dtype=float)
     _check_finite("c", c)
     _check_finite("s", s)
-    d = s - c
-    half = 0.75 * lam  # (3 lam / 2) / 2
-    q = np.sqrt(half * half + np.abs(d)) - half
-    return c + np.sign(d) * q * q
+    return _shrink_power32(lam, c, s)
 
 
 def project_simplex(s):
@@ -94,10 +114,9 @@ def project_simplex(s):
         raise ShapeError("expected a nonempty 1-D array")
     _check_finite("s", s)
     u = np.sort(s)[::-1]
-    css = np.cumsum(u) - 1.0
-    ks = np.arange(1, s.size + 1)
-    mask = u > css / ks
-    k = np.nonzero(mask)[0][-1]
+    css = u.cumsum() - 1.0
+    mask = u > css / np.arange(1, s.size + 1)
+    k = mask.nonzero()[0][-1]
     tau = css[k] / (k + 1.0)
     return np.maximum(s - tau, 0.0)
 

@@ -19,6 +19,7 @@ witnesses; the solver refuses schemes whose report fails.
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -264,12 +265,40 @@ def build_default_S(M, C, Q, lipschitz, theta):
     return S
 
 
+class SweepRow(NamedTuple):
+    """What primal row i of a sweep reads, fixed by the scheme matrices.
+
+    ``d`` is the stepsize d_i and ``s`` the feedback row S[i, :i] (None for
+    the first row).  ``forward`` lists (j, C_ij, q) for every nonzero C_ij in
+    column order; q is the input row Q[j, :i] when row i is the first to
+    read B_j, so B_j is evaluated there, and None when an earlier row
+    already did.
+    """
+
+    d: np.float64
+    s: Optional[np.ndarray]
+    forward: tuple
+
+
+def _sweep_plan(d, S, C, Q):
+    plan = []
+    seen = set()
+    for i in range(C.shape[0]):
+        forward = []
+        for j in np.nonzero(C[i])[0].tolist():
+            forward.append((j, C[i, j], None if j in seen else Q[j, :i]))
+            seen.add(j)
+        plan.append(SweepRow(d[i], S[i, :i] if i else None, tuple(forward)))
+    return tuple(plan)
+
+
 class Scheme:
     """Immutable bundle (M, S, C, Q, theta) plus derived stepsize data.
 
-    Derived on construction: d with d_i = 2/S_ii, D = diag(d), and the
-    strictly lower triangular feedback N = -slt(S), so that for symmetric S
-    the identity S = 2 D^{-1} - N - N^T holds exactly.
+    Derived on construction: d with d_i = 2/S_ii, D = diag(d), the strictly
+    lower triangular feedback N = -slt(S), so that for symmetric S the
+    identity S = 2 D^{-1} - N - N^T holds exactly, and ``plan``, one
+    SweepRow per primal row for the solver's sweep.
     """
 
     def __init__(self, M, S, C, Q, theta):
@@ -305,6 +334,7 @@ class Scheme:
         self.N = -np.tril(S, -1)
         for a in (self.M, self.S, self.C, self.Q, self.d, self.D, self.N):
             a.flags.writeable = False
+        self.plan = _sweep_plan(self.d, self.S, self.C, self.Q)
         self.report = None
 
     @property

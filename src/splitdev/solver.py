@@ -22,6 +22,7 @@ One iteration, run at relaxation gamma_k with deviation pair (u^k, v^k):
    hard-fails if the pair it returns costs more.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -58,7 +59,7 @@ class ParamSchedule:
 
     gamma and xi may be plain floats or callables of the iteration index.
     Values are checked on access: epsilon <= gamma_k <= 1 - epsilon and
-    0 <= xi_k <= 1 - epsilon.
+    0 <= xi_k <= 1 - epsilon; a constant is also checked on construction.
     """
 
     gamma: Union[float, Callable[[int], float]] = 0.9
@@ -71,6 +72,10 @@ class ParamSchedule:
             raise InvalidInputError("theta must be positive")
         if not 0.0 < self.epsilon < 0.5:
             raise InvalidInputError("epsilon must lie in (0, 0.5)")
+        if not callable(self.gamma):
+            self.gamma_at(0)
+        if not callable(self.xi):
+            self.xi_at(0)
 
     def gamma_at(self, k):
         g = float(self.gamma(k)) if callable(self.gamma) else float(self.gamma)
@@ -92,9 +97,11 @@ class SolverState:
     """Everything the iteration carries from step k to step k + 1.
 
     x is the primal sweep computed by the most recent step (None before the
-    first step); l2 is that step's capacity l_k^2; (u, v) is the deviation
-    pair the NEXT step will apply, already checked against the budget
-    xi_k * l_k^2 with the next gamma.
+    first step); l2 is that step's capacity l_k^2; residual and spread are
+    the two parts of its fixed-point residual, ||M^T x|| and the largest
+    distance between blocks of x (None before the first step); (u, v) is
+    the deviation pair the NEXT step will apply, already checked against
+    the budget xi_k * l_k^2 with the next gamma.
     """
 
     k: int
@@ -108,6 +115,8 @@ class SolverState:
     budget_used: float = 0.0
     resolvent_calls: int = 0
     forward_calls: int = 0
+    residual: Optional[float] = None
+    spread: Optional[float] = None
 
 
 @dataclass
@@ -205,7 +214,7 @@ class SolveResult:
 
 def deviation_budget(l2, xi):
     """Capacity the next deviation pair may spend: xi_k * l_k^2."""
-    if l2 < 0 or not np.isfinite(l2):
+    if not 0.0 <= l2 < math.inf:
         raise InvalidInputError(f"l2 = {l2} must be finite and nonnegative")
     return xi * l2
 
@@ -214,45 +223,41 @@ def _block_spread(x):
     if x.shape[0] < 2:
         return 0.0
     diffs = x[:, None, :] - x[None, :, :]
-    return float(np.sqrt(np.sum(np.square(diffs), axis=2)).max())
+    return float(np.sqrt(np.square(diffs).sum(axis=2)).max())
+
+
+def _residual_parts(mtx, x):
+    """(||M^T x||, block spread of x), given mtx = M^T x."""
+    flat = mtx.ravel()
+    return math.sqrt(flat.dot(flat)), _block_spread(x)
 
 
 def fixed_point_residual(state, scheme):
     """max(||M^T x^k||, max_{i,j} ||x_i^k - x_j^k||), zero only at consensus."""
     if state.x is None:
         raise InvalidInputError("no primal sweep computed yet")
-    r = float(np.linalg.norm(scheme.M.T @ state.x))
-    return max(r, _block_spread(state.x))
+    return max(_residual_parts(scheme.M.T @ state.x, state.x))
 
 
 def _inner_pass(z_eff, u, problem, scheme):
     """One primal sweep; returns (x, resolvent_calls, forward_calls)."""
-    n, m = scheme.n, scheme.m
-    p = problem.dim
-    x = np.zeros((n, p))
-    bvals = np.zeros((m, p))
-    have = np.zeros(m, dtype=bool)
-    n_res = 0
+    x = np.zeros((scheme.n, problem.dim))
+    acc_rows = scheme.M @ z_eff  # (n, p), row i becomes row i's accumulator
+    F, B = problem.F, problem.B
+    bvals = [None] * scheme.m
     n_fwd = 0
-    Mz = scheme.M @ z_eff  # (n, p)
-    S = scheme.S
-    C = scheme.C
-    Q = scheme.Q
-    for i in range(n):
-        acc = Mz[i].copy()
-        if i > 0:
-            acc -= S[i, :i] @ x[:i]
-        for j in np.nonzero(C[i])[0]:
-            if not have[j]:
-                w_j = Q[j, :i] @ x[:i] + u[j]
-                bvals[j] = problem.B[j].eval(w_j)
-                have[j] = True
+    for i, (d_i, s_row, forward) in enumerate(scheme.plan):
+        acc = acc_rows[i]
+        head = x[:i]
+        if s_row is not None:
+            acc -= s_row @ head
+        for j, c_ij, q_row in forward:
+            if q_row is not None:
+                bvals[j] = B[j].eval(q_row @ head + u[j])
                 n_fwd += 1
-            acc -= C[i, j] * bvals[j]
-        d_i = scheme.d[i]
-        x[i] = problem.F[i].resolvent(d_i, d_i * acc)
-        n_res += 1
-    return x, n_res, n_fwd
+            acc -= c_ij * bvals[j]
+        x[i] = F[i].resolvent(d_i, d_i * acc)
+    return x, scheme.n, n_fwd
 
 
 def extract_solution(z, problem, scheme):
@@ -277,17 +282,20 @@ def step(problem, scheme, state, schedule, policy):
     """
     gamma_k = state.gamma
     x, n_res, n_fwd = _inner_pass(state.z + state.v, state.u, problem, scheme)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise DivergenceError(f"non-finite primal sweep at step {state.k}")
-    z_new = state.z - gamma_k * (scheme.M.T @ x)
-    shift = z_new - state.z + (gamma_k / (1.0 - gamma_k)) * state.v
-    l2 = ((1.0 - gamma_k) / gamma_k) * float(np.sum(np.square(shift)))
+    mtx = scheme.M.T @ x
+    z_new = state.z - gamma_k * mtx
+    dz = z_new - state.z
+    shift = dz + (gamma_k / (1.0 - gamma_k)) * state.v
+    l2 = ((1.0 - gamma_k) / gamma_k) * float(np.square(shift).sum())
+    residual, spread = _residual_parts(mtx, x)
 
     budget = deviation_budget(l2, state.xi)
     gamma_next = schedule.gamma_at(state.k + 1)
     xi_next = schedule.xi_at(state.k + 1)
     dw = scheme.Q @ (x - state.x) if state.x is not None else None
-    window = PolicyWindow(k=state.k, dz=z_new - state.z, dw=dw)
+    window = PolicyWindow(k=state.k, dz=dz, dw=dw)
     u_new, v_new = policy.produce(window, budget, gamma_next, schedule.theta,
                                   problem.lipschitz)
     u_new = np.asarray(u_new, dtype=float)
@@ -296,12 +304,13 @@ def step(problem, scheme, state, schedule, policy):
         raise ShapeError("policy returned a deviation pair of wrong shape")
     cost = deviation_cost(u_new, v_new, gamma_next, schedule.theta,
                           problem.lipschitz)
-    if not np.isfinite(cost) or cost > budget + 1e-12 * (1.0 + budget):
+    if not math.isfinite(cost) or cost > budget + 1e-12 * (1.0 + budget):
         raise BudgetViolationError(
             f"deviation cost {cost} exceeds budget {budget} at step {state.k}")
     return SolverState(k=state.k + 1, z=z_new, x=x, u=u_new, v=v_new, l2=l2,
                        gamma=gamma_next, xi=xi_next, budget_used=cost,
-                       resolvent_calls=n_res, forward_calls=n_fwd)
+                       resolvent_calls=n_res, forward_calls=n_fwd,
+                       residual=residual, spread=spread)
 
 
 def solve(problem, scheme, schedule=None, policy=None, stop=None, z0=None,
@@ -354,19 +363,19 @@ def solve(problem, scheme, schedule=None, policy=None, stop=None, z0=None,
     for _ in range(stop.max_iter):
         gamma_k, xi_k = state.gamma, state.xi
         state = step(problem, scheme, state, schedule, policy)
-        res = float(np.linalg.norm(scheme.M.T @ state.x))
-        spr = _block_spread(state.x)
-        fp = max(res, spr)
+        fp = max(state.residual, state.spread)
         dist = None
         if reference is not None:
-            dist = float(np.linalg.norm(state.x[-1] - reference))
-        traj.append(k=state.k - 1, residual=res, spread=spr, l2=state.l2,
+            miss = state.x[-1] - reference
+            dist = math.sqrt(miss.dot(miss))
+        traj.append(k=state.k - 1, residual=state.residual,
+                    spread=state.spread, l2=state.l2,
                     budget_used=state.budget_used,
                     resolvent_calls=state.resolvent_calls,
                     forward_calls=state.forward_calls, dist_to_ref=dist,
                     gamma=gamma_k, xi=xi_k)
         traj.record_state(state.z)
-        if not np.isfinite(fp) or fp > stop.divergence_limit:
+        if not math.isfinite(fp) or fp > stop.divergence_limit:
             raise DivergenceError(
                 f"residual {fp} beyond {stop.divergence_limit} "
                 f"at step {state.k - 1}")

@@ -8,6 +8,7 @@ is evidence rather than tautology.
 
 import itertools
 import math
+import types
 
 import numpy as np
 
@@ -186,3 +187,95 @@ def markowitz_objective(Lam, r, delta, x0, x):
     y = np.abs(x - x0)
     return float(0.5 * x @ (Lam @ x) - r @ x + 0.5 * delta * x @ x
                  + y.sum() + (y ** 1.5).sum())
+
+
+# -- deviated splitting, loop by loop ----------------------------------------
+#
+# The solver's sweep and step written out with plain loops over rows and
+# forward operators, in the solver's floating-point operation order, so its
+# trajectory must agree with ``solve`` bit for bit.  Only the operators and
+# the deviation policy come from the library: they are the inputs.
+
+
+def splitting_run(problem, scheme, gamma, xi, theta, policy, tol, max_iter,
+                  reference=None):
+    """Run the deviated splitting iteration at constant gamma and xi.
+
+    Stops like ``solve``: at ||x_n - reference|| < tol when a reference is
+    given, else at max(||M^T x||, block spread) <= tol, or after max_iter
+    steps.  Returns (columns, z_states, x): the trajectory columns as
+    lists keyed by their CSV names, every dual iterate from z^0 on, and the
+    last primal sweep.
+    """
+    M, S, C, Q, d = scheme.M, scheme.S, scheme.C, scheme.Q, scheme.d
+    n, m = C.shape
+    p = problem.dim
+    L = problem.lipschitz
+    z = np.zeros((n - 1, p))
+    u = np.zeros((m, p))
+    v = np.zeros((n - 1, p))
+    x_prev = None
+    columns = {name: [] for name in (
+        "k", "residual", "spread", "l2", "budget_used", "resolvent_calls",
+        "forward_calls", "dist_to_ref")}
+    z_states = [z.copy()]
+    policy.reset(problem, scheme)
+    for k in range(max_iter):
+        # primal sweep: each forward operator at the first row that reads it
+        Mz = M @ (z + v)
+        x = np.zeros((n, p))
+        outputs = [None] * m
+        resolvent_calls = forward_calls = 0
+        for i in range(n):
+            acc = Mz[i].copy()
+            if i > 0:
+                acc -= S[i, :i] @ x[:i]
+            for j in range(m):
+                if C[i, j] == 0.0:
+                    continue
+                if outputs[j] is None:
+                    outputs[j] = problem.B[j].eval(Q[j, :i] @ x[:i] + u[j])
+                    forward_calls += 1
+                acc -= C[i, j] * outputs[j]
+            x[i] = problem.F[i].resolvent(d[i], d[i] * acc)
+            resolvent_calls += 1
+
+        # dual update, capacity and fixed-point residual
+        z_next = z - gamma * (M.T @ x)
+        shift = z_next - z + (gamma / (1.0 - gamma)) * v
+        l2 = ((1.0 - gamma) / gamma) * float(np.sum(np.square(shift)))
+        residual = float(np.linalg.norm(M.T @ x))
+        spread = 0.0
+        for a in range(n):
+            for b in range(n):
+                spread = max(spread, float(
+                    np.sqrt(np.sum(np.square(x[a] - x[b])))))
+
+        # next deviation pair and what it costs
+        window = types.SimpleNamespace(
+            k=k, dz=z_next - z,
+            dw=None if x_prev is None else Q @ (x - x_prev))
+        u, v = policy.produce(window, xi * l2, gamma, theta, L)
+        cost_v = (gamma / (1.0 - gamma)) * float(np.sum(np.square(v)))
+        cost_u = 0.0
+        if m:
+            cost_u = (gamma * (1.0 + theta) / 2.0) * float(
+                L @ np.sum(np.square(u), axis=1))
+        z, x_prev = z_next, x
+        z_states.append(z.copy())
+
+        dist = None
+        if reference is not None:
+            dist = float(np.linalg.norm(x[-1] - reference))
+        for name, value in (
+                ("k", k), ("residual", residual), ("spread", spread),
+                ("l2", l2), ("budget_used", cost_v + cost_u),
+                ("resolvent_calls", resolvent_calls),
+                ("forward_calls", forward_calls), ("dist_to_ref", dist)):
+            columns[name].append(value)
+        if reference is not None:
+            if dist < tol:
+                break
+        elif max(residual, spread) <= tol:
+            break
+    return columns, z_states, x

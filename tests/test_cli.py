@@ -194,3 +194,19 @@ def test_experiment_bad_policy_exit_code(tmp_path, spec):
                                   "policies": ["zero", spec]})
     assert main(["experiment", cfg]) == 2
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_solve_out_of_range_schedule_exit_code(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = run_config(tmp_path, out, schedule={"gamma": 1.5, "xi": 0.0})
+    assert main(["solve", cfg]) == 2
+    assert "gamma" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("schedule", [{"theta": 0}, {"gamma": 1.5}])
+def test_experiment_out_of_range_schedule_exit_code(tmp_path, schedule):
+    out = tmp_path / "out"
+    cfg = experiment_config(tmp_path, out, schedule=schedule)
+    assert main(["experiment", cfg]) == 2
+    assert not out.exists()

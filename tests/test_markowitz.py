@@ -6,6 +6,7 @@ import pytest
 from splitdev import (
     CsvParseError,
     InsufficientDataError,
+    InvalidInputError,
     InvalidParameterError,
     MarketData,
     MarkowitzProblem,
@@ -19,6 +20,8 @@ from splitdev import (
     load_returns_csv,
     objective,
     portfolio_chain_scale,
+    prox_shifted_l1,
+    prox_shifted_power32,
     run_experiment,
     run_grid,
     sample_simplex,
@@ -163,6 +166,23 @@ def test_build_problem_wiring():
     # simplex resolvent ignores the stepsize
     np.testing.assert_allclose(prob.F[2].resolvent(0.37, np.ones(2)),
                                [0.5, 0.5])
+
+
+def test_resolvents_check_their_input_and_keep_x0():
+    x0 = np.array([0.25, 0.75])
+    prob = build_problem(MarkowitzProblem(np.eye(2), np.zeros(2), 6.0, x0))
+    x0[:] = np.nan  # the problem keeps its own copy, checked once
+    for op, prox in zip(prob.F, (prox_shifted_l1, prox_shifted_power32)):
+        y = np.array([0.4, 2.0])
+        assert np.array_equal(op.resolvent(0.3, y),
+                              prox(0.3, [0.25, 0.75], y))
+    for op in prob.F:
+        for d, y in ((0.3, [0.1, np.inf]), (0.0, [0.1, 0.2]),
+                     (np.nan, [0.1, 0.2])):
+            if op.label == "simplex" and d != 0.3:
+                continue  # the projection ignores the stepsize
+            with pytest.raises(InvalidInputError):
+                op.resolvent(d, np.array(y))
 
 
 def test_one_step_costs_three_resolvents_two_forwards():

@@ -29,9 +29,17 @@ from splitdev import (
     solve,
     zero_monotone,
 )
+from splitdev.markowitz import (
+    MarkowitzProblem,
+    build_problem,
+    estimate_moments,
+    portfolio_chain_scale,
+    sample_simplex,
+    synthetic_instance,
+)
 from splitdev.solver import SolverState, step
 
-from oracles import dr_step
+from oracles import dr_step, splitting_run
 
 
 def quadratic_pair(dim=1):
@@ -78,6 +86,8 @@ def test_param_schedule_validation():
         ParamSchedule(gamma=1.0).gamma_at(0)  # outside [eps, 1 - eps]
     with pytest.raises(InvalidInputError):
         ParamSchedule(xi=0.9995).xi_at(0)
+    with pytest.raises(InvalidInputError):
+        ParamSchedule(gamma=1.5)  # a constant is checked on construction
     with pytest.raises(InvalidInputError):
         ParamSchedule(theta=0.0)
     with pytest.raises(InvalidInputError):
@@ -378,3 +388,44 @@ def test_fejer_monotonicity_small_sample():
             v_next = float(np.sum((zs[k + 1] - z_star) ** 2)) + tr.l2[k]
             slack = tr.xi[k - 1] * tr.l2[k - 1] - tr.l2[k]
             assert v_next <= v_k + slack + 1e-9
+
+
+def _bit_identity_case(kind):
+    """(problem, scheme, gamma, xi, reference) for the bit-identity test."""
+    if kind == "douglas_rachford":
+        sc = douglas_rachford(gamma=1.0)
+        return random_affine_problem(sc, dim=4, seed=7), sc, 0.5, 0.8, None
+    if kind == "davis_yin":
+        prob = random_affine_problem(davis_yin(gamma=0.1), dim=4, seed=8)
+        sc = davis_yin(gamma=1.0 / prob.lipschitz[0],
+                       lipschitz=prob.lipschitz)
+        return prob, sc, 0.6, 0.8, None
+    Lam, r = estimate_moments(synthetic_instance(seed=2, days=60, assets=8))
+    prob = build_problem(MarkowitzProblem(Lam, r, 6.0, sample_simplex(8, 1)))
+    sc = chain_fb(3, 2, prob.lipschitz, scale=portfolio_chain_scale(8))
+    return prob, sc, 0.9, 0.9, sample_simplex(8, 2)
+
+
+@pytest.mark.parametrize("policy", ["zero", "momentum:beta=0.5,rho=0.7",
+                                    "randball:seed=4"])
+@pytest.mark.parametrize("kind", ["douglas_rachford", "davis_yin",
+                                  "markowitz_chain_fb"])
+def test_solve_matches_loop_reference_bit_for_bit(kind, policy):
+    prob, sc, gamma, xi, reference = _bit_identity_case(kind)
+    tol, max_iter = 1e-10, 300
+    res = solve(prob, sc, schedule=ParamSchedule(gamma=gamma, xi=xi),
+                policy=sd.parse_policy(policy),
+                stop=StopRule(tol=tol, max_iter=max_iter, reference=reference),
+                record_states=True)
+    columns, z_states, x = splitting_run(
+        prob, sc, gamma, xi, 1.0, sd.parse_policy(policy), tol, max_iter,
+        reference=reference)
+    tr = res.trajectory
+    assert len(tr) == len(columns["k"]) > 10
+    for name, expected in columns.items():
+        assert getattr(tr, name) == expected, name
+    assert len(tr.z_states) == len(z_states)
+    for got, want in zip(tr.z_states, z_states):
+        assert np.array_equal(got, want)
+    assert np.array_equal(res.x, x[-1])
+    assert np.array_equal(res.state.x, x)
