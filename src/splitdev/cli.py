@@ -22,22 +22,20 @@ from .deviations import parse_policy
 from .exceptions import (
     DegenerateStepsizeError,
     DivergenceError,
+    OracleFailureError,
     SchemeValidationError,
     SplitdevError,
 )
 from .markowitz import (
-    MarkowitzProblem,
-    build_problem,
-    estimate_moments,
+    _Builder,
+    _reference_solution,
     load_returns_csv,
     portfolio_chain_scale,
     run_grid,
-    sample_simplex,
-    shift_window,
     synthetic_instance,
 )
 from .operators import MonotoneOp, Problem
-from .scheme import chain_fb, douglas_rachford, scheme_from_json, validate
+from .scheme import douglas_rachford, scheme_from_json, validate
 from .solver import ParamSchedule, StopRule, solve
 
 EXIT_OK = 0
@@ -126,45 +124,24 @@ def _load_data(spec):
     raise ValueError("data must be a CSV path or {'synthetic': {...}}")
 
 
-def _markowitz_problem(cfg, theta):
-    data = _load_data(cfg["data"])
-    delta = float(cfg.get("delta", 6.0))
-    seed = int(cfg.get("x0_seed", 0))
-    case = int(cfg.get("case", 1))
-    if case not in (1, 2):
-        raise ValueError(f"case must be 1 or 2, got {case}")
-    x0 = sample_simplex(data.assets, seed)
-    Lam, r = estimate_moments(data)
-    if case == 2:
-        prob1 = build_problem(MarkowitzProblem(Lam, r, delta, x0))
-        scheme1 = chain_fb(prob1.n, prob1.m, prob1.lipschitz, theta=theta,
-                           scale=portfolio_chain_scale(prob1.dim))
-        ref = solve(prob1, scheme1, schedule=ParamSchedule(theta=theta),
-                    stop=StopRule(tol=1e-12))
-        if not ref.converged:
-            raise DivergenceError("case-2 presolve did not converge")
-        x0 = ref.x
-        Lam, r = estimate_moments(shift_window(data))
-    return build_problem(MarkowitzProblem(Lam, r, delta, x0))
+def _object(value, what):
+    """A config section that must be a JSON object; {} when absent."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise TypeError(f"{what} must be a JSON object")
+    return value
 
 
-def _build_problem(cfg, theta):
-    kind = cfg.get("kind")
-    if kind == "dr_quadratic":
-        return _dr_quadratic_problem()
-    if kind == "markowitz":
-        return _markowitz_problem(cfg, theta)
-    raise ValueError(f"unknown problem kind {kind!r}")
+def _markowitz_problem(cfg, schedule, ref_tol, max_iter):
+    builder = _Builder(_load_data(cfg["data"]), ["chain_fb"],
+                       float(cfg.get("delta", 6.0)), schedule, ref_tol,
+                       max_iter)
+    return builder.problem(int(cfg.get("case", 1)), 0,
+                           int(cfg.get("x0_seed", 0)))
 
 
-def _build_scheme(doc, problem, theta, kind=None):
-    # the portfolio problem needs a stiffer dual metric than unit scale
-    scale = portfolio_chain_scale(problem.dim) if kind == "markowitz" else 1.0
-    if doc is None:
-        if problem.m == 0 and problem.n == 2:
-            return douglas_rachford(1.0, theta=theta)
-        return chain_fb(problem.n, problem.m, problem.lipschitz, theta=theta,
-                        scale=scale)
+def _build_scheme(doc, problem, theta, scale):
     if isinstance(doc, dict) and doc.get("builtin") == "chain_fb":
         doc = dict(doc)
         doc.setdefault("n", problem.n)
@@ -176,7 +153,6 @@ def _build_scheme(doc, problem, theta, kind=None):
 
 
 def _build_schedule(cfg):
-    cfg = cfg or {}
     return ParamSchedule(gamma=float(cfg.get("gamma", 0.9)),
                          xi=float(cfg.get("xi", 0.9)),
                          theta=float(cfg.get("theta", 1.0)),
@@ -189,41 +165,44 @@ def cmd_solve(args):
     except (OSError, json.JSONDecodeError) as exc:
         return _fail(f"cannot read run config: {exc}", EXIT_BAD_CONFIG)
     try:
-        schedule = _build_schedule(cfg.get("schedule"))
-        problem = _build_problem(cfg.get("problem", {}), schedule.theta)
-        scheme = _build_scheme(cfg.get("scheme"), problem,
-                               schedule.theta,
-                               kind=cfg.get("problem", {}).get("kind"))
+        cfg = _object(cfg, "run config")
+        schedule = _build_schedule(_object(cfg.get("schedule"), "schedule"))
+        stop_cfg = _object(cfg.get("stop"), "stop")
+        stop = StopRule(tol=float(stop_cfg.get("tol", 1e-8)),
+                        max_iter=int(stop_cfg.get("max_iter", 10 ** 6)))
+        ref_tol = float(stop_cfg.get("ref_tol", 1e-12))
         policy = parse_policy(cfg.get("policy", "zero"))
-        stop_cfg = cfg.get("stop", {})
-        tol = float(stop_cfg.get("tol", 1e-8))
-        max_iter = int(stop_cfg.get("max_iter", 10 ** 6))
-        reference = None
-        if stop_cfg.get("reference") == "auto":
-            ref = solve(problem, scheme, schedule=schedule,
-                        stop=StopRule(tol=float(stop_cfg.get("ref_tol",
-                                                             1e-12)),
-                                      max_iter=max_iter))
-            if not ref.converged:
-                return _fail("reference run did not converge", EXIT_MAX_ITER)
-            reference = ref.x
         out_dir = cfg.get("output_dir", ".")
-    except (SchemeValidationError,) as exc:
+        problem_cfg = _object(cfg.get("problem"), "problem")
+        kind = problem_cfg.get("kind")
+        if kind == "markowitz":
+            problem, scheme, _ = _markowitz_problem(problem_cfg, schedule,
+                                                    ref_tol, stop.max_iter)
+            scale = portfolio_chain_scale(problem.dim)
+        elif kind == "dr_quadratic":
+            problem = _dr_quadratic_problem()
+            scheme, scale = douglas_rachford(1.0, theta=schedule.theta), 1.0
+        else:
+            raise ValueError(f"unknown problem kind {kind!r}")
+        if cfg.get("scheme") is not None:
+            scheme = _build_scheme(cfg["scheme"], problem, schedule.theta,
+                                   scale)
+        if stop_cfg.get("reference") == "auto":
+            stop.reference = _reference_solution(problem, scheme, schedule,
+                                                 ref_tol, stop.max_iter)
+    except SchemeValidationError as exc:
         return _fail(str(exc), EXIT_CHECKS_FAILED)
+    except OracleFailureError as exc:
+        return _fail(str(exc), EXIT_MAX_ITER)
     except DivergenceError as exc:
         return _fail(str(exc), EXIT_DIVERGED)
     except (SplitdevError, KeyError, TypeError, ValueError) as exc:
         return _fail(f"invalid run config: {exc}", EXIT_BAD_CONFIG)
 
-    summary = {
-        "problem": cfg.get("problem", {}).get("kind"),
-        "policy": policy.name,
-        "tol": tol,
-    }
+    summary = {"problem": kind, "policy": policy.name, "tol": stop.tol}
     try:
         result = solve(problem, scheme, schedule=schedule, policy=policy,
-                       stop=StopRule(tol=tol, max_iter=max_iter,
-                                     reference=reference))
+                       stop=stop)
     except SchemeValidationError as exc:
         return _fail(str(exc), EXIT_CHECKS_FAILED)
     except DivergenceError as exc:
@@ -241,7 +220,7 @@ def cmd_solve(args):
         final_spread=traj.spread[-1],
         x=result.x.tolist(),
     )
-    if reference is not None:
+    if stop.reference is not None:
         summary["final_dist_to_ref"] = traj.dist_to_ref[-1]
     _write_atomic(os.path.join(out_dir, "trajectory.csv"), traj.to_csv_text())
     _write_atomic(os.path.join(out_dir, "summary.json"), _dump_json(summary))
@@ -258,9 +237,10 @@ def cmd_experiment(args):
     except (OSError, json.JSONDecodeError) as exc:
         return _fail(f"cannot read experiment config: {exc}", EXIT_BAD_CONFIG)
     try:
+        cfg = _object(cfg, "experiment config")
         data = _load_data(cfg["data"])
         delta = float(cfg.get("delta", 6.0))
-        grid = cfg.get("grid", {})
+        grid = _object(cfg.get("grid"), "grid")
         cases = [int(c) for c in grid.get("cases", [1])]
         schemes = list(grid.get("schemes", ["chain_fb"]))
         policies = list(grid.get("policies", ["zero"]))
@@ -272,24 +252,18 @@ def cmd_experiment(args):
             seeds = [int(s) for s in seeds_cfg]
         if not seeds or not cases or not schemes or not policies:
             raise ValueError("experiment grid is empty")
-        sched_cfg = cfg.get("schedule", {}) or {}
-        gamma = float(sched_cfg.get("gamma", 0.9))
-        xi = float(sched_cfg.get("xi", 0.9))
-        theta = float(sched_cfg.get("theta", 1.0))
-        # run_grid builds this schedule; building it here checks its values
-        # before any solve or file write
-        ParamSchedule(gamma=gamma, xi=xi, theta=theta)
-        tol = float(cfg.get("tol", 1e-8))
+        schedule = _build_schedule(_object(cfg.get("schedule"), "schedule"))
+        stop = StopRule(tol=float(cfg.get("tol", 1e-8)),
+                        max_iter=int(cfg.get("max_iter", 10 ** 6)))
         ref_tol = float(cfg.get("ref_tol", 1e-12))
-        max_iter = int(cfg.get("max_iter", 10 ** 6))
         out_dir = cfg.get("output_dir", ".")
         policy_names = [parse_policy(policy).name for policy in policies]
     except (SplitdevError, KeyError, TypeError, ValueError) as exc:
         return _fail(f"invalid experiment config: {exc}", EXIT_BAD_CONFIG)
 
     outcomes = run_grid(data, cases, schemes, policies, seeds, delta=delta,
-                        theta=theta, gamma=gamma, xi=xi, tol=tol,
-                        ref_tol=ref_tol, max_iter=max_iter)
+                        schedule=schedule, tol=stop.tol, ref_tol=ref_tol,
+                        max_iter=stop.max_iter)
     cells = [(case, scheme, policy_name) for case in cases
              for scheme in schemes for policy_name in policy_names]
     lines = ["case,scheme,policy,mean_iters,std_iters,n_seeds"]

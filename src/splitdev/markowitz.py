@@ -315,15 +315,66 @@ def _reference_solution(problem, scheme, schedule, ref_tol, max_iter):
     return ref.x
 
 
+class _Builder:
+    """Problems and references by (case, scheme index, seed), built once.
+
+    A case-2 problem starts from the case-1 reference of its scheme and seed
+    (the presolve); building a problem solves no other reference.  A build
+    or solve that raised raises the same error on every later request.
+    """
+
+    def __init__(self, data, schemes, delta, schedule, ref_tol, max_iter):
+        self.data, self.schemes, self.delta = data, schemes, delta
+        self.schedule, self.ref_tol, self.max_iter = (schedule, ref_tol,
+                                                      max_iter)
+        self._memo = {}
+
+    def _memoized(self, key, compute):
+        if key not in self._memo:
+            try:
+                self._memo[key] = compute()
+            except SplitdevError as exc:
+                self._memo[key] = exc
+        if isinstance(self._memo[key], SplitdevError):
+            raise self._memo[key]
+        return self._memo[key]
+
+    def moments(self, case):
+        if case not in (1, 2):
+            raise InvalidParameterError(f"case must be 1 or 2, got {case}")
+        return self._memoized(("moments", case), lambda: estimate_moments(
+            self.data if case == 1 else shift_window(self.data)))
+
+    def problem(self, case, k, seed):
+        """(problem, scheme, scheme name) of one (case, scheme, seed)."""
+        def compute():
+            moments = self.moments(case)  # checked before any presolve
+            x0 = (sample_simplex(self.data.assets, seed) if case == 1
+                  else self.reference(1, k, seed))
+            problem = build_problem(MarkowitzProblem(*moments, self.delta, x0))
+            return (problem, *_scheme_for(problem, self.schemes[k],
+                                          self.schedule.theta))
+        return self._memoized(("problem", case, k, seed), compute)
+
+    def reference(self, case, k, seed):
+        """x* of one (case, scheme, seed), by a deviation-free solve."""
+        def compute():
+            problem, scheme, _ = self.problem(case, k, seed)
+            return _reference_solution(problem, scheme, self.schedule,
+                                       self.ref_tol, self.max_iter)
+        return self._memoized(("reference", case, k, seed), compute)
+
+
 def run_grid(data, cases=(1,), schemes=("chain_fb",), policies=("zero",),
-             seeds=range(50), delta=6.0, theta=1.0, gamma=0.9, xi=0.9,
-             tol=1e-8, ref_tol=1e-12, max_iter=10 ** 6):
+             seeds=range(50), delta=6.0, schedule=None, tol=1e-8,
+             ref_tol=1e-12, max_iter=10 ** 6):
     """Iteration-count experiment over a (case, scheme, policy) grid.
 
     For every cell and seed: draw x0 uniformly on the simplex, build the
     problem on the given returns window, compute the reference solution x*
     by a deviation-free run to residual ``ref_tol``, then run the policy
     under test until ||x_n^k - x*|| < tol and record the iteration count.
+    Every solve runs under ``schedule``, by default ``ParamSchedule()``.
 
     Case 1 prices on the window as given.  Case 2 rebalances 20 periods
     later: the starting allocation is the Case-1 solution for the same seed
@@ -332,50 +383,20 @@ def run_grid(data, cases=(1,), schemes=("chain_fb",), policies=("zero",),
     References do not depend on the policy: each (case, scheme, seed)
     reference is solved once, lazily in cell order, and shared by every
     policy.  Returns one entry per cell, ordered by case, then scheme, then
-    policy: an ExperimentReport, or the SplitdevError the cell raised.  An
-    out-of-range gamma, xi or theta raises InvalidInputError before any
-    cell runs.
+    policy: an ExperimentReport, or the SplitdevError the cell raised.
     """
     cases, schemes, policies, seeds = map(list, (cases, schemes, policies,
                                                  seeds))
-    schedule = ParamSchedule(gamma=gamma, xi=xi, theta=theta)
-    memo = {}  # case -> moments; (case, scheme index, seed) -> reference
-
-    def memoized(key, compute):
-        if key not in memo:
-            try:
-                memo[key] = compute()
-            except SplitdevError as exc:
-                memo[key] = exc
-        if isinstance(memo[key], SplitdevError):
-            raise memo[key]
-        return memo[key]
-
-    def moments(case):
-        return memoized(case, lambda: estimate_moments(
-            data if case == 1 else shift_window(data)))
-
-    def reference(case, k, seed):
-        def compute():
-            x0 = (sample_simplex(data.assets, seed) if case == 1
-                  else reference(1, k, seed)[3])
-            problem = build_problem(MarkowitzProblem(*moments(case), delta,
-                                                     x0))
-            scheme, name = _scheme_for(problem, schemes[k], theta)
-            return problem, scheme, name, _reference_solution(
-                problem, scheme, schedule, ref_tol, max_iter)
-        return memoized((case, k, seed), compute)
+    schedule = schedule if schedule is not None else ParamSchedule()
+    builder = _Builder(data, schemes, delta, schedule, ref_tol, max_iter)
 
     def run_cell(case, k, policy):
-        if case not in (1, 2):
-            raise InvalidParameterError(f"case must be 1 or 2, got {case}")
         if not seeds:
             raise InvalidParameterError("need at least one seed")
-        moments(1)  # a case-2 cell presolves on the base window
-        moments(case)
         records = []
         for seed in seeds:
-            problem, scheme, scheme_name, x_ref = reference(case, k, seed)
+            problem, scheme, scheme_name = builder.problem(case, k, seed)
+            x_ref = builder.reference(case, k, seed)
             run = solve(problem, scheme, schedule=schedule,
                         policy=parse_policy(policy),
                         stop=StopRule(tol=tol, max_iter=max_iter,
@@ -400,12 +421,12 @@ def run_grid(data, cases=(1,), schemes=("chain_fb",), policies=("zero",),
 
 
 def run_experiment(data, scheme_kind="chain_fb", policy="zero", case=1,
-                   seeds=range(50), delta=6.0, theta=1.0, gamma=0.9, xi=0.9,
-                   tol=1e-8, ref_tol=1e-12, max_iter=10 ** 6):
+                   seeds=range(50), delta=6.0, schedule=None, tol=1e-8,
+                   ref_tol=1e-12, max_iter=10 ** 6):
     """One cell of ``run_grid``: the report, or the cell's error raised."""
     [outcome] = run_grid(data, [case], [scheme_kind], [policy], seeds,
-                         delta=delta, theta=theta, gamma=gamma, xi=xi,
-                         tol=tol, ref_tol=ref_tol, max_iter=max_iter)
+                         delta=delta, schedule=schedule, tol=tol,
+                         ref_tol=ref_tol, max_iter=max_iter)
     if isinstance(outcome, SplitdevError):
         raise outcome
     return outcome

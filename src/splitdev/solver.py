@@ -125,13 +125,17 @@ class StopRule:
 
     With a reference point the loop stops when ||x_n^k - reference|| < tol,
     otherwise when the fixed-point residual drops to tol.  Residuals above
-    divergence_limit abort with DivergenceError.
+    divergence_limit abort with DivergenceError; max_iter must be >= 1.
     """
 
     tol: float = 1e-8
     max_iter: int = 10 ** 6
     reference: Optional[np.ndarray] = None
     divergence_limit: float = 1e12
+
+    def __post_init__(self):
+        if self.max_iter < 1:
+            raise InvalidInputError("max_iter must be at least 1")
 
 
 class Trajectory:

@@ -5,7 +5,15 @@ import json
 import numpy as np
 import pytest
 
-from splitdev import davis_yin, douglas_rachford, scheme_to_json
+from splitdev import (
+    ParamSchedule,
+    davis_yin,
+    douglas_rachford,
+    run_experiment,
+    scheme_to_json,
+    synthetic_instance,
+)
+from splitdev import cli, markowitz
 from splitdev.cli import main
 
 
@@ -204,9 +212,90 @@ def test_solve_out_of_range_schedule_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("schedule", [{"theta": 0}, {"gamma": 1.5}])
+@pytest.mark.parametrize("schedule", [{"theta": 0}, {"gamma": 1.5},
+                                      {"gamma": 0.85, "epsilon": 0.2}])
 def test_experiment_out_of_range_schedule_exit_code(tmp_path, schedule):
     out = tmp_path / "out"
     cfg = experiment_config(tmp_path, out, schedule=schedule)
     assert main(["experiment", cfg]) == 2
     assert not out.exists()
+
+
+def test_solve_max_iter_zero_exit_code(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = run_config(tmp_path, out, stop={"tol": 1e-8, "max_iter": 0})
+    assert main(["solve", cfg]) == 2
+    assert "max_iter" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_experiment_max_iter_zero_exit_code(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = experiment_config(tmp_path, out, max_iter=0)
+    assert main(["experiment", cfg]) == 2
+    assert "max_iter" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("solve", []),
+    ("solve", {"problem": [1]}),
+    ("experiment", {"data": {"synthetic": {"seed": 0, "days": 60,
+                                           "assets": 4}},
+                    "grid": [1]}),
+])
+def test_non_object_config_exit_code(tmp_path, capsys, command, doc):
+    path = write_json(tmp_path, doc, "cfg.json")
+    assert main([command, path]) == 2
+    assert "must be a JSON object" in capsys.readouterr().err
+
+
+def markowitz_run(tmp_path, out, case, stop, policy="zero", schedule=None):
+    """A solve config on the 4-asset synthetic instance, x0 seed 1."""
+    return run_config(
+        tmp_path, out,
+        problem={"kind": "markowitz",
+                 "data": {"synthetic": {"seed": 0, "days": 60, "assets": 4}},
+                 "case": case, "x0_seed": 1},
+        schedule=schedule or {}, policy=policy, stop=stop)
+
+
+def test_solve_case2_starts_where_experiment_does(tmp_path):
+    # the case-2 presolve runs under the run's own schedule, as run_grid's
+    out = tmp_path / "out"
+    cfg = markowitz_run(tmp_path, out, case=2, schedule={"gamma": 0.8},
+                        stop={"tol": 1e-8, "reference": "auto"})
+    assert main(["solve", cfg]) == 0
+    data = synthetic_instance(seed=0, days=60, assets=4)
+    report = run_experiment(data, policy="zero", case=2, seeds=[1],
+                            schedule=ParamSchedule(gamma=0.8))
+    assert (out / "trajectory.csv").read_text() == \
+        report.records[0].trajectory.to_csv_text()
+
+
+@pytest.mark.parametrize("case,stop", [
+    (2, {"tol": 1e-8, "max_iter": 5}),  # the presolve stalls
+    (1, {"tol": 1e-8, "max_iter": 5, "reference": "auto"}),
+])
+def test_solve_stalled_reference_exit_code(tmp_path, capsys, case, stop):
+    out = tmp_path / "out"
+    assert main(["solve", markowitz_run(tmp_path, out, case, stop)]) == 3
+    assert "stalled" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("case,stop,solves", [
+    (1, {"tol": 1e-8}, 1),
+    (2, {"tol": 1e-8, "reference": "auto"}, 3),  # presolve, reference, run
+])
+def test_solve_runs_only_the_solves_it_needs(tmp_path, monkeypatch, case,
+                                             stop, solves):
+    calls = []
+    for module in (cli, markowitz):
+        def counting_solve(*args, _solve=module.solve, **kwargs):
+            calls.append(1)
+            return _solve(*args, **kwargs)
+        monkeypatch.setattr(module, "solve", counting_solve)
+    out = tmp_path / "out"
+    assert main(["solve", markowitz_run(tmp_path, out, case, stop)]) == 0
+    assert len(calls) == solves

@@ -94,6 +94,15 @@ def test_param_schedule_validation():
         ParamSchedule(epsilon=0.7)
 
 
+def test_stop_rule_rejects_max_iter_below_one():
+    with pytest.raises(InvalidInputError):
+        StopRule(max_iter=0)  # checked on construction
+    stop = StopRule(max_iter=1)
+    stop.max_iter = 0
+    with pytest.raises(InvalidInputError):  # and again by solve
+        solve(quadratic_pair(), douglas_rachford(gamma=1.0), stop=stop)
+
+
 def test_fixed_point_residual_pinned():
     sc = douglas_rachford(gamma=1.0)
     exact = SolverState(k=1, z=np.zeros((1, 1)),
