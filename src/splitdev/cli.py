@@ -48,7 +48,6 @@ EXIT_ALL_CELLS_FAILED = 5
 
 def _write_atomic(path, text):
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".splitdev-")
     try:
         with os.fdopen(fd, "w", encoding="ascii", newline="") as fh:
@@ -133,6 +132,15 @@ def _object(value, what):
     return value
 
 
+def _output_dir(cfg):
+    """The configured output directory, created; read after every other key."""
+    out_dir = cfg.get("output_dir", ".")
+    if not isinstance(out_dir, str):
+        raise TypeError("output_dir must be a string")
+    os.makedirs(out_dir or ".", exist_ok=True)
+    return out_dir
+
+
 def _markowitz_problem(cfg, schedule, ref_tol, max_iter):
     builder = _Builder(_load_data(cfg["data"]), ["chain_fb"],
                        float(cfg.get("delta", 6.0)), schedule, ref_tol,
@@ -172,7 +180,6 @@ def cmd_solve(args):
                         max_iter=int(stop_cfg.get("max_iter", 10 ** 6)))
         ref_tol = float(stop_cfg.get("ref_tol", 1e-12))
         policy = parse_policy(cfg.get("policy", "zero"))
-        out_dir = cfg.get("output_dir", ".")
         problem_cfg = _object(cfg.get("problem"), "problem")
         kind = problem_cfg.get("kind")
         if kind == "markowitz":
@@ -190,13 +197,14 @@ def cmd_solve(args):
         if stop_cfg.get("reference") == "auto":
             stop.reference = _reference_solution(problem, scheme, schedule,
                                                  ref_tol, stop.max_iter)
+        out_dir = _output_dir(cfg)
     except SchemeValidationError as exc:
         return _fail(str(exc), EXIT_CHECKS_FAILED)
     except OracleFailureError as exc:
         return _fail(str(exc), EXIT_MAX_ITER)
     except DivergenceError as exc:
         return _fail(str(exc), EXIT_DIVERGED)
-    except (SplitdevError, KeyError, TypeError, ValueError) as exc:
+    except (SplitdevError, KeyError, OSError, TypeError, ValueError) as exc:
         return _fail(f"invalid run config: {exc}", EXIT_BAD_CONFIG)
 
     summary = {"problem": kind, "policy": policy.name, "tol": stop.tol}
@@ -256,9 +264,9 @@ def cmd_experiment(args):
         stop = StopRule(tol=float(cfg.get("tol", 1e-8)),
                         max_iter=int(cfg.get("max_iter", 10 ** 6)))
         ref_tol = float(cfg.get("ref_tol", 1e-12))
-        out_dir = cfg.get("output_dir", ".")
         policy_names = [parse_policy(policy).name for policy in policies]
-    except (SplitdevError, KeyError, TypeError, ValueError) as exc:
+        out_dir = _output_dir(cfg)
+    except (SplitdevError, KeyError, OSError, TypeError, ValueError) as exc:
         return _fail(f"invalid experiment config: {exc}", EXIT_BAD_CONFIG)
 
     outcomes = run_grid(data, cases, schemes, policies, seeds, delta=delta,

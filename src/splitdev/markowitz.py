@@ -35,6 +35,7 @@ from .operators import (
     _checked_point,
     _shrink_l1,
     _shrink_power32,
+    _symmetric_psd,
     estimate_cocoercivity,
     project_simplex,
 )
@@ -113,19 +114,13 @@ def load_returns_csv(path):
 
 
 def estimate_moments(data):
-    """Sample mean and sample covariance (1/(T-1) normalization).
-
-    Returns (Lambda, r) with Lambda symmetrized so downstream eigenvalue
-    checks see an exactly symmetric matrix.
-    """
+    """(Lambda, r): sample covariance (1/(T-1) normalization) and mean."""
     R = data.returns
     if R.shape[0] < 2:
         raise InsufficientDataError("need at least 2 rows to estimate moments")
     r = R.mean(axis=0)
     centered = R - r
-    Lam = centered.T @ centered / (R.shape[0] - 1)
-    Lam = 0.5 * (Lam + Lam.T)
-    return Lam, r
+    return centered.T @ centered / (R.shape[0] - 1), r
 
 
 def shift_window(data, shift=20):
@@ -188,11 +183,8 @@ class MarkowitzProblem:
         if not np.all(np.isfinite(Lam)) or not np.all(np.isfinite(r)) \
                 or not np.all(np.isfinite(x0)):
             raise InvalidParameterError("non-finite model data")
-        scale = 1.0 + float(np.max(np.abs(Lam)))
-        if float(np.max(np.abs(Lam - Lam.T))) > 1e-10 * scale:
-            raise InvalidParameterError("Lambda must be symmetric")
-        if float(np.linalg.eigvalsh(Lam)[0]) < -1e-10 * scale:
-            raise InvalidParameterError("Lambda must be positive semidefinite")
+        # the gradient of 0.5 x' Lambda x sees only the symmetric part
+        Lam, _ = _symmetric_psd(Lam, "Lambda", InvalidParameterError)
         if not np.isfinite(self.delta) or self.delta <= 0:
             raise InvalidParameterError("delta must be positive")
         object.__setattr__(self, "Lambda", Lam)

@@ -134,15 +134,37 @@ def affine_gradient(A, b, x):
     return A @ x - b
 
 
-def estimate_cocoercivity(A, max_sweeps=10_000, rtol=1e-10):
-    """Largest eigenvalue of a symmetric PSD matrix by power iteration.
+def _symmetric_psd(A, name, error):
+    """(A + A^T)/2 and an upper bound on its lambda_max, for symmetric PSD A.
 
-    Uses a fixed deterministic start vector and Rayleigh quotients; stops when
-    the quotient is stationary to ``rtol`` relative.  The result is the
-    cocoercivity-defining Lipschitz constant of x -> A x.
+    ``error`` is raised unless the square, finite A is symmetric and PSD up
+    to tol = 4 p eps ||A||_F.  The symmetric eigensolver is backward stable,
+    so by Weyl each computed eigenvalue lies within c p eps ||A||_2 of the
+    true one (c modest; tol takes c = 4, and ||A||_F >= ||A||_2).  So a
+    computed lambda_min >= -tol is PSD to round-off, and lambda_max + tol is
+    never below the true lambda_max.
+    """
+    tol = float(4 * A.shape[0] * np.finfo(float).eps * np.linalg.norm(A))
+    if float(np.abs(A - A.T).max()) > tol:
+        raise error(f"{name} must be symmetric")
+    sym = 0.5 * (A + A.T)
+    eigs = np.linalg.eigvalsh(sym)
+    if eigs[0] < -tol:
+        raise error(f"{name} must be positive semidefinite "
+                    f"(lambda_min = {eigs[0]:.3e})")
+    return sym, float(eigs[-1]) + tol
+
+
+def estimate_cocoercivity(A):
+    """Cocoercivity constant of x -> A x for symmetric PSD A: lambda_max(A).
+
+    One symmetric eigensolve, rounded up by the allowance of
+    ``_symmetric_psd``, so the result is never below the true lambda_max.
 
     Raises
     ------
+    InvalidInputError
+        If A is not symmetric or not positive semidefinite.
     DegenerateOperatorError
         If A is the zero matrix.
     """
@@ -150,29 +172,9 @@ def estimate_cocoercivity(A, max_sweeps=10_000, rtol=1e-10):
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ShapeError("A must be square")
     _check_finite("A", A)
-    p = A.shape[0]
-    if not np.any(A):
+    if not A.any():
         raise DegenerateOperatorError("zero matrix has no spectral scale")
-    # Deterministic start with unequal components so no eigenspace of a
-    # structured matrix is missed by symmetry.
-    v = 1.0 + np.arange(p) / (p + 1.0)
-    v /= np.linalg.norm(v)
-    lam = float(v @ (A @ v))
-    for _ in range(max_sweeps):
-        w = A @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            # Start vector sits in the kernel; nudge toward the largest column.
-            j = int(np.argmax(np.linalg.norm(A, axis=0)))
-            v = A[:, j] / np.linalg.norm(A[:, j])
-            lam = float(v @ (A @ v))
-            continue
-        v = w / norm
-        lam_new = float(v @ (A @ v))
-        if abs(lam_new - lam) <= rtol * max(abs(lam_new), 1e-300):
-            return lam_new
-        lam = lam_new
-    return lam
+    return _symmetric_psd(A, "A", InvalidInputError)[1]
 
 
 @dataclass(frozen=True)
@@ -247,7 +249,7 @@ def zero_monotone(label=""):
 def affine_cocoercive(A, b, lipschitz=None, label=""):
     """Cocoercive operator x -> A x - b for symmetric PSD A.
 
-    When ``lipschitz`` is omitted it is estimated with power iteration.
+    When ``lipschitz`` is omitted it is ``estimate_cocoercivity(A)``.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)

@@ -284,18 +284,56 @@ def test_solve_stalled_reference_exit_code(tmp_path, capsys, case, stop):
     assert not (out / "summary.json").exists()
 
 
-@pytest.mark.parametrize("case,stop,solves", [
-    (1, {"tol": 1e-8}, 1),
-    (2, {"tol": 1e-8, "reference": "auto"}, 3),  # presolve, reference, run
-])
-def test_solve_runs_only_the_solves_it_needs(tmp_path, monkeypatch, case,
-                                             stop, solves):
+def count_solves(monkeypatch):
+    """A list that gains one entry per solve the CLI or the grid runs."""
     calls = []
     for module in (cli, markowitz):
         def counting_solve(*args, _solve=module.solve, **kwargs):
             calls.append(1)
             return _solve(*args, **kwargs)
         monkeypatch.setattr(module, "solve", counting_solve)
+    return calls
+
+
+@pytest.mark.parametrize("case,stop,solves", [
+    (1, {"tol": 1e-8}, 1),
+    (2, {"tol": 1e-8, "reference": "auto"}, 3),  # presolve, reference, run
+])
+def test_solve_runs_only_the_solves_it_needs(tmp_path, monkeypatch, case,
+                                             stop, solves):
+    calls = count_solves(monkeypatch)
     out = tmp_path / "out"
     assert main(["solve", markowitz_run(tmp_path, out, case, stop)]) == 0
     assert len(calls) == solves
+
+
+@pytest.mark.parametrize("command", ["solve", "experiment"])
+@pytest.mark.parametrize("bad_dir,message", [
+    ("not a string", "output_dir must be a string"),
+    ("under a file", "Not a directory"),
+])
+def test_bad_output_dir_exit_code_before_any_solve(
+        tmp_path, monkeypatch, capsys, command, bad_dir, message):
+    calls = count_solves(monkeypatch)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = 5 if bad_dir == "not a string" else str(blocker / "out")
+    make_config = run_config if command == "solve" else experiment_config
+    cfg = make_config(tmp_path, "unused", output_dir=out)
+    assert main([command, cfg]) == 2
+    assert message in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.mark.parametrize("command", ["solve", "experiment"])
+def test_missing_returns_csv_exit_code(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    missing = str(tmp_path / "missing.csv")
+    if command == "solve":
+        cfg = run_config(tmp_path, out,
+                         problem={"kind": "markowitz", "data": missing})
+    else:
+        cfg = experiment_config(tmp_path, out, data=missing)
+    assert main([command, cfg]) == 2
+    assert "missing.csv" in capsys.readouterr().err
+    assert not out.exists()

@@ -153,6 +153,11 @@ def test_markowitz_problem_validation():
         MarkowitzProblem(eye, np.zeros(2), 0.0, np.zeros(2))
     with pytest.raises(ShapeError):
         MarkowitzProblem(eye, np.zeros(3), 6.0, np.zeros(2))
+    # asymmetry within round-off is accepted, and the symmetric part kept
+    Lam = np.array([[2.0, 1.0 + 2.0 ** -52], [1.0, 2.0]])
+    kept = MarkowitzProblem(Lam, np.zeros(2), 6.0, np.zeros(2)).Lambda
+    np.testing.assert_array_equal(kept, kept.T)
+    np.testing.assert_array_equal(kept, 0.5 * (Lam + Lam.T))
 
 
 def test_build_problem_wiring():

@@ -13,11 +13,13 @@ from splitdev import (
     affine_cocoercive,
     affine_gradient,
     affine_monotone,
+    chain_fb,
     estimate_cocoercivity,
     monotone_from_prox,
     project_simplex,
     prox_shifted_l1,
     prox_shifted_power32,
+    validate,
     zero_monotone,
 )
 
@@ -130,6 +132,52 @@ def test_estimate_cocoercivity_matches_eigh_on_random_psd():
 def test_estimate_cocoercivity_rejects_zero_matrix():
     with pytest.raises(DegenerateOperatorError):
         estimate_cocoercivity(np.zeros((3, 3)))
+
+
+def hard_psd_matrices(seed, count=300):
+    """Symmetric PSD matrices (p = 3..39) on which lambda_max is hard to hit.
+
+    Each is a near-tied top pair, rank-deficient, or full rank, scaled by a
+    factor between 1e-8 and 1e8; B @ B.T keeps it exactly symmetric.
+    """
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        p = int(rng.integers(3, 40))
+        if k % 3 == 0:  # top two eigenvalues 1 and 1 - 10^(-12..-4)
+            Q, _ = np.linalg.qr(rng.normal(size=(p, p)))
+            eigs = rng.uniform(0.0, 0.5, size=p)
+            eigs[:2] = 1.0, 1.0 - 10.0 ** rng.uniform(-12, -4)
+            B = Q * np.sqrt(eigs)
+        else:  # rank-deficient, then full rank
+            rank = int(rng.integers(1, p)) if k % 3 == 1 else p
+            B = rng.normal(size=(p, rank))
+        yield 10.0 ** rng.uniform(-8, 8) * (B @ B.T)
+
+
+def test_estimate_cocoercivity_is_an_upper_bound():
+    # never below a Rayleigh quotient, each evaluated in extended precision
+    for A in hard_psd_matrices(seed=21):
+        got = estimate_cocoercivity(A)
+        V = np.linalg.eigh(A)[1].astype(np.longdouble)
+        quotients = ((V * (A.astype(np.longdouble) @ V)).sum(axis=0)
+                     / (V * V).sum(axis=0))
+        assert got >= quotients.max()
+
+
+def test_estimate_cocoercivity_keeps_schemes_valid():
+    # a scheme built from the estimate passes the PSD check at lambda_max
+    for A in hard_psd_matrices(seed=22):
+        scheme = chain_fb(3, 1, [estimate_cocoercivity(A)])
+        assert validate(scheme, [np.linalg.eigvalsh(A)[-1]]).passed
+
+
+def test_estimate_cocoercivity_rejects_asymmetric_or_indefinite():
+    with pytest.raises(InvalidInputError, match="symmetric"):
+        estimate_cocoercivity(np.array([[2.0, 1.0], [0.0, 2.0]]))
+    with pytest.raises(InvalidInputError, match="semidefinite"):
+        estimate_cocoercivity(np.diag([1.0, -1e-6]))
+    with pytest.raises(InvalidInputError):
+        affine_cocoercive(np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros(2))
 
 
 def test_monotone_from_prox_resolvent_is_nonexpansive():

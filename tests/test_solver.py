@@ -1,11 +1,16 @@
 """Iteration engine: stepping, budgets, termination, instrumentation."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 import splitdev as sd
 from splitdev import (
     BudgetViolationError,
+    DeviationPolicy,
     DivergenceError,
     InvalidInputError,
     MomentumPolicy,
@@ -21,6 +26,7 @@ from splitdev import (
     chain_fb,
     davis_yin,
     deviation_budget,
+    deviation_cost,
     douglas_rachford,
     dr_reference_step,
     extract_solution,
@@ -51,8 +57,11 @@ def quadratic_pair(dim=1):
         dim=dim)
 
 
-def random_affine_problem(scheme, dim, seed):
+def random_affine_problem(scheme, dim, seed, coco_scales=None):
+    """Affine problem shaped for ``scheme``; B_j is scaled by coco_scales[j]."""
     rng = np.random.default_rng(seed)
+    if coco_scales is None:
+        coco_scales = [1.0] * scheme.m
     F, B = [], []
     shift = rng.normal(size=dim)
     for i in range(scheme.n):
@@ -62,8 +71,59 @@ def random_affine_problem(scheme, dim, seed):
     for j in range(scheme.m):
         G = rng.normal(size=(dim, dim))
         A = G @ G.T / dim + 0.1 * np.eye(dim)
-        B.append(affine_cocoercive(A, rng.normal(size=dim)))
+        B.append(affine_cocoercive(coco_scales[j] * A, rng.normal(size=dim)))
     return Problem(F=F, B=B, dim=dim)
+
+
+@st.composite
+def splitting_cases(draw):
+    """(problem, scheme, schedule): a valid chain_fb or davis_yin scheme on a
+    random affine problem whose cocoercivity constants span 1e-2..1e2."""
+    theta = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    kind = draw(st.sampled_from(["chain_fb", "davis_yin"]))
+    n = 2 if kind == "davis_yin" else draw(st.integers(2, 4))
+    m = 1 if kind == "davis_yin" else draw(st.integers(0, n - 1))
+    scales = draw(st.lists(st.floats(-2.0, 2.0), min_size=m, max_size=m))
+    prob = random_affine_problem(chain_fb(n, m, np.ones(m)),
+                                 dim=draw(st.integers(1, 4)),
+                                 seed=draw(st.integers(0, 2 ** 16)),
+                                 coco_scales=[10.0 ** e for e in scales])
+    if kind == "davis_yin":
+        bound = 4.0 / ((1.0 + 1.0 / theta) * prob.lipschitz[0])
+        sc = davis_yin(draw(st.floats(0.1, 0.95)) * bound, theta=theta,
+                       lipschitz=prob.lipschitz)
+    else:
+        sc = chain_fb(n, m, prob.lipschitz, theta=theta)
+    schedule = ParamSchedule(gamma=draw(st.floats(0.1, 0.9)),
+                             xi=draw(st.floats(0.0, 0.95)), theta=theta)
+    return prob, sc, schedule
+
+
+class BoundaryPolicy(DeviationPolicy):
+    """Seeded random pairs scaled so each costs exactly the whole budget."""
+
+    name = "boundary"
+
+    def __init__(self, seed):
+        self.seed = seed
+
+    def reset(self, problem, scheme):
+        self._rng = np.random.default_rng(self.seed)
+
+    def produce(self, window, budget, gamma_next, theta, lipschitz):
+        u = self._rng.normal(size=(len(lipschitz), window.dz.shape[-1]))
+        v = self._rng.normal(size=window.dz.shape)
+        if budget == 0.0:
+            return 0.0 * u, 0.0 * v
+        scale = math.sqrt(budget / deviation_cost(u, v, gamma_next, theta,
+                                                  lipschitz))
+        return scale * u, scale * v
+
+
+deviation_policies = st.one_of(
+    st.builds(MomentumPolicy, beta=st.floats(0.0, 1.0),
+              rho=st.floats(0.0, 1.0)),
+    st.builds(BoundaryPolicy, seed=st.integers(0, 2 ** 16)))
 
 
 def test_deviation_budget_pinned():
@@ -378,25 +438,50 @@ def test_record_states_keeps_every_dual_iterate():
     assert res.trajectory.z_states[0].shape == (1, 1)
 
 
-def test_fejer_monotonicity_small_sample():
-    # V_k = ||z^k - z*||^2 + l_{k-1}^2 decreases up to the spent budget
-    for seed in range(5):
-        prob = random_affine_problem(chain_fb(3, 1, lipschitz=np.ones(1)),
-                                     dim=3, seed=100 + seed)
-        sc = chain_fb(3, 1, lipschitz=prob.lipschitz)
-        ref = solve(prob, sc, schedule=ParamSchedule(gamma=0.5, xi=0.0),
-                    stop=StopRule(tol=1e-13))
-        z_star = ref.state.z
-        res = solve(prob, sc, schedule=ParamSchedule(gamma=0.5, xi=0.8),
-                    policy=MomentumPolicy(beta=0.7),
-                    stop=StopRule(tol=0.0, max_iter=60), record_states=True)
-        tr = res.trajectory
-        zs = tr.z_states
-        for k in range(1, len(tr)):
-            v_k = float(np.sum((zs[k] - z_star) ** 2)) + tr.l2[k - 1]
-            v_next = float(np.sum((zs[k + 1] - z_star) ** 2)) + tr.l2[k]
-            slack = tr.xi[k - 1] * tr.l2[k - 1] - tr.l2[k]
-            assert v_next <= v_k + slack + 1e-9
+def momentum_case(seed):
+    """chain_fb(3, 1) at dim 3 with gamma 0.5 and xi 0.8."""
+    prob = random_affine_problem(chain_fb(3, 1, lipschitz=np.ones(1)),
+                                 dim=3, seed=seed)
+    return (prob, chain_fb(3, 1, lipschitz=prob.lipschitz),
+            ParamSchedule(gamma=0.5, xi=0.8))
+
+
+@given(splitting_cases(), deviation_policies)
+@example(momentum_case(100), MomentumPolicy(beta=0.7))
+@example(momentum_case(101), MomentumPolicy(beta=0.7))
+@example(momentum_case(102), MomentumPolicy(beta=0.7))
+@example(momentum_case(103), MomentumPolicy(beta=0.7))
+@example(momentum_case(104), MomentumPolicy(beta=0.7))
+def test_fejer_monotonicity_small_sample(case, policy):
+    # ||z^{k+1} - z*||^2 + l_k^2 <= ||z^k - z*||^2 + the cost of the pair
+    # step k used, which the budget caps at xi_{k-1} l_{k-1}^2
+    prob, sc, schedule = case
+    ref = solve(prob, sc, schedule=ParamSchedule(gamma=0.9, xi=0.0,
+                                                 theta=sc.theta),
+                stop=StopRule(tol=1e-13, max_iter=20000))
+    assume(ref.converged)
+    z_star = ref.state.z
+    res = solve(prob, sc, schedule=schedule, policy=policy,
+                stop=StopRule(tol=0.0, max_iter=60), record_states=True)
+    tr = res.trajectory
+    zs = tr.z_states
+    for k in range(len(tr)):
+        before = float(np.sum((zs[k] - z_star) ** 2))
+        after = float(np.sum((zs[k + 1] - z_star) ** 2))
+        spent = tr.budget_used[k - 1] if k else 0.0
+        assert after + tr.l2[k] <= before + spent + 1e-9
+
+
+@given(splitting_cases(), st.integers(0, 2 ** 16))
+def test_pairs_on_the_budget_boundary_are_admitted(case, seed):
+    # round-off in a pair that spends exactly xi_k l_k^2 never trips the check
+    prob, sc, schedule = case
+    res = solve(prob, sc, schedule=schedule, policy=BoundaryPolicy(seed),
+                stop=StopRule(tol=0.0, max_iter=40))
+    tr = res.trajectory
+    for k in range(1, len(tr)):
+        budget = tr.xi[k - 1] * tr.l2[k - 1]
+        assert tr.budget_used[k - 1] == pytest.approx(budget, rel=1e-12)
 
 
 def _bit_identity_case(kind):
