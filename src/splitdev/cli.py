@@ -14,6 +14,7 @@ repeated runs of the same configuration produce byte-identical outputs.
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -22,6 +23,7 @@ from .deviations import parse_policy
 from .exceptions import (
     DegenerateStepsizeError,
     DivergenceError,
+    InvalidInputError,
     OracleFailureError,
     SchemeValidationError,
     SplitdevError,
@@ -29,6 +31,7 @@ from .exceptions import (
 from .markowitz import (
     _Builder,
     _reference_solution,
+    _ridge_weight,
     load_returns_csv,
     portfolio_chain_scale,
     run_grid,
@@ -141,6 +144,14 @@ def _output_dir(cfg):
     return out_dir
 
 
+def _ref_tol(section):
+    """The reference solves' tolerance, refused when NaN as StopRule does."""
+    ref_tol = float(section.get("ref_tol", 1e-12))
+    if math.isnan(ref_tol):
+        raise InvalidInputError("ref_tol must not be NaN")
+    return ref_tol
+
+
 def _markowitz_problem(cfg, schedule, ref_tol, max_iter):
     builder = _Builder(_load_data(cfg["data"]), ["chain_fb"],
                        float(cfg.get("delta", 6.0)), schedule, ref_tol,
@@ -178,7 +189,7 @@ def cmd_solve(args):
         stop_cfg = _object(cfg.get("stop"), "stop")
         stop = StopRule(tol=float(stop_cfg.get("tol", 1e-8)),
                         max_iter=int(stop_cfg.get("max_iter", 10 ** 6)))
-        ref_tol = float(stop_cfg.get("ref_tol", 1e-12))
+        ref_tol = _ref_tol(stop_cfg)
         policy = parse_policy(cfg.get("policy", "zero"))
         problem_cfg = _object(cfg.get("problem"), "problem")
         kind = problem_cfg.get("kind")
@@ -247,7 +258,7 @@ def cmd_experiment(args):
     try:
         cfg = _object(cfg, "experiment config")
         data = _load_data(cfg["data"])
-        delta = float(cfg.get("delta", 6.0))
+        delta = _ridge_weight(float(cfg.get("delta", 6.0)))
         grid = _object(cfg.get("grid"), "grid")
         cases = [int(c) for c in grid.get("cases", [1])]
         schemes = list(grid.get("schemes", ["chain_fb"]))
@@ -263,7 +274,7 @@ def cmd_experiment(args):
         schedule = _build_schedule(_object(cfg.get("schedule"), "schedule"))
         stop = StopRule(tol=float(cfg.get("tol", 1e-8)),
                         max_iter=int(cfg.get("max_iter", 10 ** 6)))
-        ref_tol = float(cfg.get("ref_tol", 1e-12))
+        ref_tol = _ref_tol(cfg)
         policy_names = [parse_policy(policy).name for policy in policies]
         out_dir = _output_dir(cfg)
     except (SplitdevError, KeyError, OSError, TypeError, ValueError) as exc:

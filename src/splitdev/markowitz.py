@@ -160,6 +160,13 @@ def synthetic_instance(seed, days=200, assets=53, factors=3):
     return MarketData(drift + paths @ loadings.T + noise)
 
 
+def _ridge_weight(delta):
+    """delta as a float; InvalidParameterError unless finite and positive."""
+    if not np.isfinite(delta) or delta <= 0:
+        raise InvalidParameterError("delta must be positive")
+    return float(delta)
+
+
 @dataclass(frozen=True)
 class MarkowitzProblem:
     """Moments plus regularization and the current allocation."""
@@ -185,11 +192,9 @@ class MarkowitzProblem:
             raise InvalidParameterError("non-finite model data")
         # the gradient of 0.5 x' Lambda x sees only the symmetric part
         Lam, _ = _symmetric_psd(Lam, "Lambda", InvalidParameterError)
-        if not np.isfinite(self.delta) or self.delta <= 0:
-            raise InvalidParameterError("delta must be positive")
         object.__setattr__(self, "Lambda", Lam)
         object.__setattr__(self, "r", r)
-        object.__setattr__(self, "delta", float(self.delta))
+        object.__setattr__(self, "delta", _ridge_weight(self.delta))
         object.__setattr__(self, "x0", x0)
 
     @property
@@ -316,7 +321,8 @@ class _Builder:
     """
 
     def __init__(self, data, schemes, delta, schedule, ref_tol, max_iter):
-        self.data, self.schemes, self.delta = data, schemes, delta
+        self.data, self.schemes = data, schemes
+        self.delta = _ridge_weight(delta)
         self.schedule, self.ref_tol, self.max_iter = (schedule, ref_tol,
                                                       max_iter)
         self._memo = {}
@@ -375,7 +381,9 @@ def run_grid(data, cases=(1,), schemes=("chain_fb",), policies=("zero",),
     References do not depend on the policy: each (case, scheme, seed)
     reference is solved once, lazily in cell order, and shared by every
     policy.  Returns one entry per cell, ordered by case, then scheme, then
-    policy: an ExperimentReport, or the SplitdevError the cell raised.
+    policy: an ExperimentReport, or the SplitdevError the cell raised.  A
+    delta that is not finite and positive raises InvalidParameterError
+    before any cell runs.
     """
     cases, schemes, policies, seeds = map(list, (cases, schemes, policies,
                                                  seeds))

@@ -20,6 +20,9 @@ One iteration, run at relaxation gamma_k with deviation pair (u^k, v^k):
    + (gamma_k/(1-gamma_k)) v^k||^2 measures how much the step moved; the
    policy may spend xi_k * l_k^2 on the next deviation pair, and the step
    hard-fails if the pair it returns costs more.
+
+With the zero pair this is the plain frugal iteration, and ``step`` then
+does only that iteration's arithmetic.
 """
 
 import math
@@ -125,7 +128,9 @@ class StopRule:
 
     With a reference point the loop stops when ||x_n^k - reference|| < tol,
     otherwise when the fixed-point residual drops to tol.  Residuals above
-    divergence_limit abort with DivergenceError; max_iter must be >= 1.
+    divergence_limit abort with DivergenceError.  max_iter must be >= 1,
+    tol must not be NaN (tol <= 0 runs exactly max_iter steps) and
+    divergence_limit must be positive.
     """
 
     tol: float = 1e-8
@@ -136,6 +141,10 @@ class StopRule:
     def __post_init__(self):
         if self.max_iter < 1:
             raise InvalidInputError("max_iter must be at least 1")
+        if math.isnan(self.tol):
+            raise InvalidInputError("tol must not be NaN")
+        if not self.divergence_limit > 0:
+            raise InvalidInputError("divergence_limit must be positive")
 
 
 class Trajectory:
@@ -244,7 +253,10 @@ def fixed_point_residual(state, scheme):
 
 
 def _inner_pass(z_eff, u, problem, scheme):
-    """One primal sweep; returns (x, resolvent_calls, forward_calls)."""
+    """One primal sweep; returns (x, resolvent_calls, forward_calls).
+
+    u is the forward-input deviation, or None for the zero one.
+    """
     x = np.zeros((scheme.n, problem.dim))
     acc_rows = scheme.M @ z_eff  # (n, p), row i becomes row i's accumulator
     F, B = problem.F, problem.B
@@ -257,7 +269,8 @@ def _inner_pass(z_eff, u, problem, scheme):
             acc -= s_row @ head
         for j, c_ij, q_row in forward:
             if q_row is not None:
-                bvals[j] = B[j].eval(q_row @ head + u[j])
+                w = q_row @ head
+                bvals[j] = B[j].eval(w if u is None else w + u[j])
                 n_fwd += 1
             acc -= c_ij * bvals[j]
         x[i] = F[i].resolvent(d_i, d_i * acc)
@@ -271,8 +284,7 @@ def extract_solution(z, problem, scheme):
     solves the inclusion; useful to re-derive the solution from a stored z.
     """
     z = np.asarray(z, dtype=float)
-    x, _, _ = _inner_pass(z, np.zeros((scheme.m, problem.dim)), problem,
-                          scheme)
+    x, _, _ = _inner_pass(z, None, problem, scheme)
     return x
 
 
@@ -283,34 +295,54 @@ def step(problem, scheme, state, schedule, policy):
     produced it, the capacity l_k^2, and the budget-checked deviation pair
     for the next step.  Raises BudgetViolationError if the policy overspends
     and DivergenceError on non-finite iterates.
+
+    Deviation-free steps skip the deviation machinery with bit-identical
+    results.  An incoming pair (state.u, state.v) that is all zeros is not
+    added into the sweep or the capacity; this is decided from the pair, so
+    a nonzero pair is applied whatever the policy.  A policy of exact type
+    ZeroPolicy gets no window or ``produce`` call: the next pair is zeros
+    with cost 0.0.  Its subclasses take the general path.
     """
     gamma_k = state.gamma
-    x, n_res, n_fwd = _inner_pass(state.z + state.v, state.u, problem, scheme)
+    # count_nonzero is the cheapest exact zero test numpy has (ndarray.any
+    # costs about three times as much); NaN counts as nonzero
+    deviated = (state.budget_used != 0.0 or np.count_nonzero(state.u)
+                or np.count_nonzero(state.v))
+    if deviated:
+        x, n_res, n_fwd = _inner_pass(state.z + state.v, state.u, problem,
+                                      scheme)
+    else:
+        x, n_res, n_fwd = _inner_pass(state.z, None, problem, scheme)
     if not np.isfinite(x).all():
         raise DivergenceError(f"non-finite primal sweep at step {state.k}")
     mtx = scheme.M.T @ x
     z_new = state.z - gamma_k * mtx
     dz = z_new - state.z
-    shift = dz + (gamma_k / (1.0 - gamma_k)) * state.v
+    shift = dz + (gamma_k / (1.0 - gamma_k)) * state.v if deviated else dz
     l2 = ((1.0 - gamma_k) / gamma_k) * float(np.square(shift).sum())
     residual, spread = _residual_parts(mtx, x)
 
     budget = deviation_budget(l2, state.xi)
     gamma_next = schedule.gamma_at(state.k + 1)
     xi_next = schedule.xi_at(state.k + 1)
-    dw = scheme.Q @ (x - state.x) if state.x is not None else None
-    window = PolicyWindow(k=state.k, dz=dz, dw=dw)
-    u_new, v_new = policy.produce(window, budget, gamma_next, schedule.theta,
-                                  problem.lipschitz)
-    u_new = np.asarray(u_new, dtype=float)
-    v_new = np.asarray(v_new, dtype=float)
-    if u_new.shape != (scheme.m, problem.dim) or v_new.shape != state.v.shape:
-        raise ShapeError("policy returned a deviation pair of wrong shape")
-    cost = deviation_cost(u_new, v_new, gamma_next, schedule.theta,
-                          problem.lipschitz)
-    if not math.isfinite(cost) or cost > budget + 1e-12 * (1.0 + budget):
-        raise BudgetViolationError(
-            f"deviation cost {cost} exceeds budget {budget} at step {state.k}")
+    if type(policy) is ZeroPolicy:
+        u_new, v_new, cost = (np.zeros((scheme.m, problem.dim)),
+                              np.zeros(dz.shape), 0.0)
+    else:
+        dw = scheme.Q @ (x - state.x) if state.x is not None else None
+        window = PolicyWindow(k=state.k, dz=dz, dw=dw)
+        u_new, v_new = policy.produce(window, budget, gamma_next,
+                                      schedule.theta, problem.lipschitz)
+        u_new = np.asarray(u_new, dtype=float)
+        v_new = np.asarray(v_new, dtype=float)
+        if (u_new.shape != (scheme.m, problem.dim)
+                or v_new.shape != state.v.shape):
+            raise ShapeError("policy returned a deviation pair of wrong shape")
+        cost = deviation_cost(u_new, v_new, gamma_next, schedule.theta,
+                              problem.lipschitz)
+        if not math.isfinite(cost) or cost > budget + 1e-12 * (1.0 + budget):
+            raise BudgetViolationError(f"deviation cost {cost} exceeds "
+                                       f"budget {budget} at step {state.k}")
     return SolverState(k=state.k + 1, z=z_new, x=x, u=u_new, v=v_new, l2=l2,
                        gamma=gamma_next, xi=xi_next, budget_used=cost,
                        resolvent_calls=n_res, forward_calls=n_fwd,
@@ -330,8 +362,7 @@ def solve(problem, scheme, schedule=None, policy=None, stop=None, z0=None,
     schedule = schedule if schedule is not None else ParamSchedule()
     policy = policy if policy is not None else ZeroPolicy()
     stop = stop if stop is not None else StopRule()
-    if stop.max_iter < 1:
-        raise InvalidInputError("max_iter must be at least 1")
+    stop.__post_init__()  # its fields may have changed since construction
     if scheme.n != problem.n or scheme.m != problem.m:
         raise SchemeValidationError(
             f"scheme is {scheme.n}x{scheme.m}, problem needs "

@@ -337,3 +337,35 @@ def test_missing_returns_csv_exit_code(tmp_path, capsys, command):
     assert main([command, cfg]) == 2
     assert "missing.csv" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("stop", [
+    {"tol": float("nan"), "max_iter": 500},
+    {"tol": 1e-8, "ref_tol": float("nan"), "max_iter": 500},
+])
+def test_solve_nan_tolerance_exit_code(tmp_path, monkeypatch, capsys, stop):
+    calls = count_solves(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["solve", run_config(tmp_path, out, stop=stop)]) == 2
+    assert "tol must not be NaN" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("overrides", [
+    {"tol": float("nan")},
+    {"ref_tol": float("nan")},
+    {"delta": -1},
+    {"delta": 0},
+    {"delta": float("nan")},
+])
+def test_experiment_bad_tolerance_or_delta_exit_code(
+        tmp_path, monkeypatch, capsys, overrides):
+    calls = count_solves(monkeypatch)
+    out = tmp_path / "out"
+    cfg = experiment_config(tmp_path, out, max_iter=500, **overrides)
+    assert main(["experiment", cfg]) == 2
+    name = next(iter(overrides))
+    assert f"{name} must" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()

@@ -332,6 +332,18 @@ def test_run_grid_matches_run_experiment_per_cell():
         for seed in (0, 1)]
 
 
+@pytest.mark.parametrize("delta", [-1.0, 0.0, np.nan, np.inf])
+def test_run_grid_rejects_bad_delta_before_any_cell(monkeypatch, delta):
+    calls = []
+    monkeypatch.setattr(markowitz, "solve",
+                        lambda *a, **k: calls.append(1))
+    data = synthetic_instance(seed=0, days=60, assets=4)
+    with pytest.raises(InvalidParameterError, match="delta"):
+        run_grid(data, cases=[1, 2], policies=["zero"], seeds=[0],
+                 delta=delta)
+    assert calls == []
+
+
 def test_run_grid_reports_failed_reference_on_every_cell():
     data = synthetic_instance(seed=0, days=60, assets=4)
     reports = run_grid(data, cases=[1, 2], policies=["zero", "momentum"],

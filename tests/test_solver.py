@@ -1,5 +1,6 @@
 """Iteration engine: stepping, budgets, termination, instrumentation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -160,6 +161,21 @@ def test_stop_rule_rejects_max_iter_below_one():
     stop = StopRule(max_iter=1)
     stop.max_iter = 0
     with pytest.raises(InvalidInputError):  # and again by solve
+        solve(quadratic_pair(), douglas_rachford(gamma=1.0), stop=stop)
+
+
+def test_stop_rule_rejects_nan_tolerances():
+    with pytest.raises(InvalidInputError, match="tol"):
+        StopRule(tol=math.nan)
+    for limit in (math.nan, 0.0, -1.0):
+        with pytest.raises(InvalidInputError, match="divergence_limit"):
+            StopRule(divergence_limit=limit)
+    # tol <= 0 stays legal: it runs exactly max_iter steps
+    stop = StopRule(tol=-1.0, max_iter=7)
+    res = solve(quadratic_pair(), douglas_rachford(gamma=1.0), stop=stop)
+    assert res.iterations == 7 and not res.converged
+    stop.tol = math.nan
+    with pytest.raises(InvalidInputError, match="tol"):  # and again by solve
         solve(quadratic_pair(), douglas_rachford(gamma=1.0), stop=stop)
 
 
@@ -523,3 +539,91 @@ def test_solve_matches_loop_reference_bit_for_bit(kind, policy):
         assert np.array_equal(got, want)
     assert np.array_equal(res.x, x[-1])
     assert np.array_equal(res.state.x, x)
+
+
+class ZerosFromProduce(DeviationPolicy):
+    """The zero pair through ``produce``: the general path of ``step``."""
+
+    name = "zeros-from-produce"
+
+    def produce(self, window, budget, gamma_next, theta, lipschitz):
+        return self._zeros(window, lipschitz)
+
+
+def _bits(value):
+    """Bytes that tell every float apart, signed zeros and NaNs included."""
+    if value is None:
+        return None
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    return np.float64(value).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["douglas_rachford", "davis_yin",
+                                  "markowitz_chain_fb"])
+def test_zero_policy_matches_zeros_from_produce_bit_for_bit(kind):
+    prob, sc, gamma, xi, reference = _bit_identity_case(kind)
+    runs = [solve(prob, sc, schedule=ParamSchedule(gamma=gamma, xi=xi),
+                  policy=policy,
+                  stop=StopRule(tol=1e-10, max_iter=300, reference=reference),
+                  record_states=True)
+            for policy in (ZeroPolicy(), ZerosFromProduce())]
+    fast, general = runs
+    assert len(fast.trajectory) == len(general.trajectory) > 10
+    for name in sd.Trajectory.COLUMNS + ("gamma", "xi"):
+        assert ([_bits(v) for v in getattr(fast.trajectory, name)]
+                == [_bits(v) for v in getattr(general.trajectory, name)]), name
+    assert ([_bits(z) for z in fast.trajectory.z_states]
+            == [_bits(z) for z in general.trajectory.z_states])
+    assert _bits(fast.x) == _bits(general.x)
+    for field in dataclasses.fields(SolverState):
+        assert (_bits(getattr(fast.state, field.name))
+                == _bits(getattr(general.state, field.name))), field.name
+
+
+def test_zero_policy_solve_skips_produce_and_cost(monkeypatch):
+    counts = {"produce": 0, "deviation_cost": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ZeroPolicy, "produce",
+                        counted("produce", ZeroPolicy.produce))
+    monkeypatch.setattr(sd.solver, "deviation_cost",
+                        counted("deviation_cost", sd.solver.deviation_cost))
+    prob, sc, gamma, xi, reference = _bit_identity_case("markowitz_chain_fb")
+    stop = StopRule(tol=1e-10, max_iter=300, reference=reference)
+    schedule = ParamSchedule(gamma=gamma, xi=xi)
+    res = solve(prob, sc, schedule=schedule, policy=ZeroPolicy(), stop=stop)
+    assert res.iterations > 10
+    assert counts == {"produce": 0, "deviation_cost": 0}
+    # the counters are live: the general path pays one cost per step
+    res = solve(prob, sc, schedule=schedule, policy=ZerosFromProduce(),
+                stop=stop)
+    assert counts == {"produce": 0, "deviation_cost": res.iterations}
+
+
+def test_hand_called_zero_policy_step_applies_the_incoming_pair():
+    # whether a step adds (u, v) is read off the pair, not off the policy
+    prob, sc, gamma, xi, _ = _bit_identity_case("markowitz_chain_fb")
+    schedule = ParamSchedule(gamma=gamma, xi=xi)
+    rng = np.random.default_rng(11)
+    p = prob.dim
+    state = SolverState(k=3, z=rng.normal(size=(sc.n - 1, p)),
+                        x=rng.normal(size=(sc.n, p)),
+                        u=1e-3 * rng.normal(size=(sc.m, p)),
+                        v=1e-3 * rng.normal(size=(sc.n - 1, p)),
+                        l2=1.0, gamma=gamma, xi=xi, budget_used=0.0)
+    fast = step(prob, sc, state, schedule, ZeroPolicy())
+    general = step(prob, sc, state, schedule, ZerosFromProduce())
+    for name in ("z", "x", "l2", "residual", "spread", "u", "v",
+                 "budget_used"):
+        assert _bits(getattr(fast, name)) == _bits(getattr(general, name))
+    # and the pair did move the step
+    bare = dataclasses.replace(state, u=np.zeros_like(state.u),
+                               v=np.zeros_like(state.v))
+    assert not np.array_equal(step(prob, sc, bare, schedule, ZeroPolicy()).z,
+                              fast.z)
