@@ -65,7 +65,7 @@ def _write_atomic(path, text):
 
 
 def _dump_json(obj):
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _read_config(path):
@@ -144,12 +144,12 @@ def _output_dir(cfg):
     return out_dir
 
 
-def _ref_tol(section):
-    """The reference solves' tolerance, refused when NaN as StopRule does."""
-    ref_tol = float(section.get("ref_tol", 1e-12))
-    if math.isnan(ref_tol):
-        raise InvalidInputError("ref_tol must not be NaN")
-    return ref_tol
+def _tolerance(section, key, default):
+    """A stop tolerance; NaN or infinite ones are refused, as JSON has none."""
+    value = float(section.get(key, default))
+    if not math.isfinite(value):
+        raise InvalidInputError(f"{key} must not be NaN or infinite")
+    return value
 
 
 def _markowitz_problem(cfg, schedule, ref_tol, max_iter):
@@ -187,9 +187,9 @@ def cmd_solve(args):
         cfg = _object(cfg, "run config")
         schedule = _build_schedule(_object(cfg.get("schedule"), "schedule"))
         stop_cfg = _object(cfg.get("stop"), "stop")
-        stop = StopRule(tol=float(stop_cfg.get("tol", 1e-8)),
+        stop = StopRule(tol=_tolerance(stop_cfg, "tol", 1e-8),
                         max_iter=int(stop_cfg.get("max_iter", 10 ** 6)))
-        ref_tol = _ref_tol(stop_cfg)
+        ref_tol = _tolerance(stop_cfg, "ref_tol", 1e-12)
         policy = parse_policy(cfg.get("policy", "zero"))
         problem_cfg = _object(cfg.get("problem"), "problem")
         kind = problem_cfg.get("kind")
@@ -272,9 +272,9 @@ def cmd_experiment(args):
         if not seeds or not cases or not schemes or not policies:
             raise ValueError("experiment grid is empty")
         schedule = _build_schedule(_object(cfg.get("schedule"), "schedule"))
-        stop = StopRule(tol=float(cfg.get("tol", 1e-8)),
+        stop = StopRule(tol=_tolerance(cfg, "tol", 1e-8),
                         max_iter=int(cfg.get("max_iter", 10 ** 6)))
-        ref_tol = _ref_tol(cfg)
+        ref_tol = _tolerance(cfg, "ref_tol", 1e-12)
         policy_names = [parse_policy(policy).name for policy in policies]
         out_dir = _output_dir(cfg)
     except (SplitdevError, KeyError, OSError, TypeError, ValueError) as exc:

@@ -64,6 +64,8 @@ class CheckResult:
             w = w.tolist()
         elif isinstance(w, (np.floating, np.integer)):
             w = w.item()
+        if w is not None and not np.all(np.isfinite(w)):
+            w = None  # JSON has no NaN or infinity; the detail names it
         return {"name": self.name, "passed": bool(self.passed),
                 "detail": self.detail, "witness": w}
 
@@ -220,20 +222,31 @@ def _coupling_quadratic(C, Q, lipschitz):
 def check_psd_condition(S, M, C, Q, lipschitz, theta):
     """S - M M^T - (1/2)(1 + 1/theta) (C^T - Q)^T diag(L) (C^T - Q) >= 0.
 
-    Judged on the symmetrized remainder with tolerance
-    lambda_min >= -1e-9 * (1 + ||S||).  Also requires the total sum of S
-    (the consensus direction e^T S e) to vanish.
+    Judged on the symmetrized remainder G against the round-off allowance
+    tol = 4 n eps (||S||_2 + ||M M^T||_2 + ||K||_2), K the scaled coupling
+    term.  Forming G from its three terms perturbs it by a few eps times
+    their sizes, and the symmetric eigensolver is backward stable, so by
+    Weyl the computed lambda_min is within c n eps ||G||_2 of the true one
+    (c modest; tol takes c = 4, and ||G||_2 is at most the sum of the three
+    norms).  So lambda_min >= -tol is PSD to round-off, and since tol
+    scales with the terms a wrong L is seen however small it is.  The
+    spectral norms come from an SVD, which does not overflow where a sum
+    of squares would.  Also requires the total sum of S (the consensus
+    direction e^T S e) to vanish, to within 1e-10 (1 + ||S||_2).
     """
     S = np.asarray(S, dtype=float)
     M = np.asarray(M, dtype=float)
-    G = S - M @ M.T - 0.5 * (1.0 + 1.0 / theta) * _coupling_quadratic(
-        C, Q, lipschitz)
+    MMt = M @ M.T
+    K = 0.5 * (1.0 + 1.0 / theta) * _coupling_quadratic(C, Q, lipschitz)
+    G = S - MMt - K
     G = 0.5 * (G + G.T)
     lam_min = float(np.linalg.eigvalsh(G)[0])
-    scale = 1.0 + float(np.linalg.norm(S, 2))
+    s_norm = float(np.linalg.norm(S, 2))
+    tol = 4 * S.shape[0] * np.finfo(float).eps * (
+        s_norm + float(np.linalg.norm(MMt, 2)) + float(np.linalg.norm(K, 2)))
     esum = float(S.sum())
-    ok_psd = lam_min >= -1e-9 * scale
-    ok_zero = abs(esum) <= 1e-10 * scale
+    ok_psd = lam_min >= -tol
+    ok_zero = abs(esum) <= 1e-10 * (1.0 + s_norm)
     if not ok_psd:
         return CheckResult("psd", False,
                            f"lambda_min = {lam_min:.3e}", witness=lam_min)

@@ -154,66 +154,52 @@ class Trajectory:
     consensus spread, the capacity l_k^2, the budget actually charged to the
     deviation pair produced at the end of the step, the exact operator call
     counts, and the distance to the reference when one was given.  gamma_k
-    and xi_k are kept as arrays for analysis but not exported.  With
+    and xi_k are kept as columns for analysis but not exported.  With
     ``record_states=True`` every dual iterate z^k is retained as well.
+
+    Each column is a list attribute named as in COLUMNS (then ``gamma`` and
+    ``xi``); ``append`` takes one value per column, in that order.
     """
 
     COLUMNS = ("k", "residual", "spread", "l2", "budget_used",
                "resolvent_calls", "forward_calls", "dist_to_ref")
+    _FIELDS = COLUMNS + ("gamma", "xi")
 
     def __init__(self, record_states=False):
-        self.k = []
-        self.residual = []
-        self.spread = []
-        self.l2 = []
-        self.budget_used = []
-        self.resolvent_calls = []
-        self.forward_calls = []
-        self.dist_to_ref = []
-        self.gamma = []
-        self.xi = []
+        self._columns = tuple([] for _ in self._FIELDS)
+        vars(self).update(zip(self._FIELDS, self._columns))
         self.z_states = [] if record_states else None
 
     def __len__(self):
         return len(self.k)
 
-    def append(self, k, residual, spread, l2, budget_used, resolvent_calls,
-               forward_calls, dist_to_ref, gamma, xi):
-        self.k.append(int(k))
-        self.residual.append(float(residual))
-        self.spread.append(float(spread))
-        self.l2.append(float(l2))
-        self.budget_used.append(float(budget_used))
-        self.resolvent_calls.append(int(resolvent_calls))
-        self.forward_calls.append(int(forward_calls))
-        self.dist_to_ref.append(None if dist_to_ref is None
-                                else float(dist_to_ref))
-        self.gamma.append(float(gamma))
-        self.xi.append(float(xi))
+    def append(self, *row):
+        if len(row) != len(self._columns):
+            raise TypeError(f"a row has {len(self._columns)} values, "
+                            f"got {len(row)}")
+        for column, value in zip(self._columns, row):
+            column.append(value)
 
     def record_state(self, z):
         if self.z_states is not None:
             self.z_states.append(np.array(z))
 
     def to_csv_text(self):
+        """Ints as str, floats with 17 significant digits, None as empty."""
+        rows = zip(*self._columns[:len(self.COLUMNS)])
         lines = [",".join(self.COLUMNS)]
-        for i in range(len(self.k)):
-            dist = self.dist_to_ref[i]
-            lines.append(",".join([
-                str(self.k[i]),
-                format(self.residual[i], ".17g"),
-                format(self.spread[i], ".17g"),
-                format(self.l2[i], ".17g"),
-                format(self.budget_used[i], ".17g"),
-                str(self.resolvent_calls[i]),
-                str(self.forward_calls[i]),
-                "" if dist is None else format(dist, ".17g"),
-            ]))
+        lines.extend(",".join(map(_csv_field, row)) for row in rows)
         return "\n".join(lines) + "\n"
 
     def to_csv(self, path):
         with open(path, "w", encoding="ascii", newline="") as fh:
             fh.write(self.to_csv_text())
+
+
+def _csv_field(value):
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return "" if value is None else str(value)
 
 
 @dataclass
@@ -403,12 +389,9 @@ def solve(problem, scheme, schedule=None, policy=None, stop=None, z0=None,
         if reference is not None:
             miss = state.x[-1] - reference
             dist = math.sqrt(miss.dot(miss))
-        traj.append(k=state.k - 1, residual=state.residual,
-                    spread=state.spread, l2=state.l2,
-                    budget_used=state.budget_used,
-                    resolvent_calls=state.resolvent_calls,
-                    forward_calls=state.forward_calls, dist_to_ref=dist,
-                    gamma=gamma_k, xi=xi_k)
+        traj.append(state.k - 1, state.residual, state.spread, state.l2,
+                    state.budget_used, state.resolvent_calls,
+                    state.forward_calls, dist, gamma_k, xi_k)
         traj.record_state(state.z)
         if not math.isfinite(fp) or fp > stop.divergence_limit:
             raise DivergenceError(

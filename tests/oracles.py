@@ -279,3 +279,25 @@ def splitting_run(problem, scheme, gamma, xi, theta, policy, tol, max_iter,
         elif max(residual, spread) <= tol:
             break
     return columns, z_states, x
+
+
+def csv_text(columns):
+    """A trajectory CSV written out by hand from columns keyed by name.
+
+    The header lists the names in order; each row writes ints with str,
+    floats with 17 significant digits ("%.17g") and None as an empty field.
+    """
+    names = list(columns)
+    text = ",".join(names) + "\n"
+    for i in range(len(columns[names[0]])):
+        fields = []
+        for name in names:
+            value = columns[name][i]
+            if value is None:
+                fields.append("")
+            elif isinstance(value, int):
+                fields.append(str(value))
+            else:
+                fields.append("%.17g" % value)
+        text += ",".join(fields) + "\n"
+    return text

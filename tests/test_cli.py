@@ -352,12 +352,48 @@ def test_solve_nan_tolerance_exit_code(tmp_path, monkeypatch, capsys, stop):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("stop", [
+    {"tol": float("inf")},
+    {"tol": -float("inf")},
+    {"tol": 1e-8, "ref_tol": float("inf"), "reference": "auto"},
+])
+def test_solve_infinite_tolerance_exit_code(tmp_path, monkeypatch, capsys,
+                                            stop):
+    # JSON has no infinity, so summary.json could not record such a tol
+    calls = count_solves(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["solve", run_config(tmp_path, out, stop=stop)]) == 2
+    assert "tol must not be NaN or infinite" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
+def _strict_json(text):
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_validate_report_is_strict_json_when_the_psd_check_overflows(
+        tmp_path, capsys):
+    doc = scheme_to_json(davis_yin(gamma=0.5))
+    doc["L"] = [1e308]  # the coupling term overflows: lambda_min is NaN
+    with np.errstate(all="ignore"):
+        assert main(["validate", write_json(tmp_path, doc, "big.json")]) == 1
+    report = _strict_json(capsys.readouterr().out)
+    psd = next(c for c in report["checks"] if c["name"] == "psd")
+    assert psd == {"name": "psd", "passed": False,
+                   "detail": "lambda_min = nan", "witness": None}
+
+
 @pytest.mark.parametrize("overrides", [
     {"tol": float("nan")},
     {"ref_tol": float("nan")},
     {"delta": -1},
     {"delta": 0},
     {"delta": float("nan")},
+    {"tol": float("inf")},
+    {"ref_tol": float("inf")},
 ])
 def test_experiment_bad_tolerance_or_delta_exit_code(
         tmp_path, monkeypatch, capsys, overrides):

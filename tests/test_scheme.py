@@ -131,6 +131,13 @@ def test_psd_condition_rejects_indefinite_perturbation():
     assert not res.passed
 
 
+@pytest.mark.parametrize("L", [1e-10, 1e-9, 1e-8, 1.0, 1e300])
+def test_psd_condition_sees_a_wrong_constant_at_any_scale(L):
+    # a scheme built for L / 10 is too weak for L, however small or large L is
+    assert not validate(chain_fb(3, 1, [L / 10]), [L])["psd"].passed
+    assert validate(chain_fb(3, 1, [L]), [L]).passed
+
+
 def test_compute_stepsizes_pinned_cases():
     gamma = 0.7
     S = (2.0 / gamma) * np.array([[1.0, -1.0], [-1.0, 1.0]])

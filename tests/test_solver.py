@@ -46,7 +46,7 @@ from splitdev.markowitz import (
 )
 from splitdev.solver import SolverState, step
 
-from oracles import dr_step, splitting_run
+from oracles import csv_text, dr_step, splitting_run
 
 
 def quadratic_pair(dim=1):
@@ -539,6 +539,29 @@ def test_solve_matches_loop_reference_bit_for_bit(kind, policy):
         assert np.array_equal(got, want)
     assert np.array_equal(res.x, x[-1])
     assert np.array_equal(res.state.x, x)
+
+
+@pytest.mark.parametrize("with_reference", [False, True])
+@pytest.mark.parametrize("policy", ["zero", "momentum:beta=0.5,rho=0.7",
+                                    "randball:seed=4"])
+@pytest.mark.parametrize("kind", ["douglas_rachford", "davis_yin",
+                                  "markowitz_chain_fb"])
+def test_csv_text_matches_an_independent_formatter(kind, policy,
+                                                   with_reference):
+    prob, sc, gamma, xi, reference = _bit_identity_case(kind)
+    if not with_reference:
+        reference = None
+    elif reference is None:
+        reference = np.full(prob.dim, 0.5)  # never reached: 300 rows
+    tol, max_iter = 1e-10, 300
+    res = solve(prob, sc, schedule=ParamSchedule(gamma=gamma, xi=xi),
+                policy=sd.parse_policy(policy),
+                stop=StopRule(tol=tol, max_iter=max_iter, reference=reference))
+    columns, _, _ = splitting_run(
+        prob, sc, gamma, xi, 1.0, sd.parse_policy(policy), tol, max_iter,
+        reference=reference)
+    assert (columns["dist_to_ref"][0] is None) is (reference is None)
+    assert res.trajectory.to_csv_text() == csv_text(columns)
 
 
 class ZerosFromProduce(DeviationPolicy):
