@@ -85,6 +85,7 @@ def cmd_validate(args):
         return _fail(f"cannot read scheme document: {exc}", EXIT_BAD_CONFIG)
     try:
         scheme = scheme_from_json(doc)
+        report = validate(scheme, doc.get("L"))
     except SplitdevError as exc:
         # Degenerate stepsizes are a failed check, not a malformed document.
         if isinstance(exc, DegenerateStepsizeError):
@@ -97,8 +98,6 @@ def cmd_validate(args):
         return _fail(f"invalid scheme document: {exc}", EXIT_BAD_CONFIG)
     except (KeyError, TypeError, ValueError) as exc:
         return _fail(f"invalid scheme document: {exc}", EXIT_BAD_CONFIG)
-    lipschitz = doc.get("L") if isinstance(doc, dict) else None
-    report = validate(scheme, lipschitz)
     out = report.to_dict()
     out["n"] = scheme.n
     out["m"] = scheme.m

@@ -142,9 +142,14 @@ def _symmetric_psd(A, name, error):
     so by Weyl each computed eigenvalue lies within c p eps ||A||_2 of the
     true one (c modest; tol takes c = 4, and ||A||_F >= ||A||_2).  So a
     computed lambda_min >= -tol is PSD to round-off, and lambda_max + tol is
-    never below the true lambda_max.
+    never below the true lambda_max.  ||A||_F is taken of A divided by the
+    power of two just above max |a_ij|, then multiplied back: the scaling is
+    exact, so tol keeps its bits wherever the plain sum of squares neither
+    overflows nor underflows, and stays finite past entries of 1e154.
     """
-    tol = float(4 * A.shape[0] * np.finfo(float).eps * np.linalg.norm(A))
+    e = math.frexp(float(np.abs(A).max()))[1]
+    tol = math.ldexp(float(4 * A.shape[0] * np.finfo(float).eps
+                           * np.linalg.norm(np.ldexp(A, -e))), e)
     if float(np.abs(A - A.T).max()) > tol:
         raise error(f"{name} must be symmetric")
     sym = 0.5 * (A + A.T)

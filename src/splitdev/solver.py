@@ -26,6 +26,7 @@ does only that iteration's arithmetic.
 """
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -157,16 +158,24 @@ class Trajectory:
     and xi_k are kept as columns for analysis but not exported.  With
     ``record_states=True`` every dual iterate z^k is retained as well.
 
-    Each column is a list attribute named as in COLUMNS (then ``gamma`` and
-    ``xi``); ``append`` takes one value per column, in that order.
+    Each column is an attribute named as in COLUMNS (then ``gamma`` and
+    ``xi``); ``append`` takes one value per column, in that order.  The
+    counts are ``array('q')`` and the floats ``array('d')``, 8 bytes a
+    value; ``dist_to_ref`` is a list, as it holds None without a reference.
+    Indexing returns a Python int or float, and ``np.asarray`` of a column
+    is zero-copy; use ``list(column)`` before ``json.dumps``.
     """
 
-    COLUMNS = ("k", "residual", "spread", "l2", "budget_used",
-               "resolvent_calls", "forward_calls", "dist_to_ref")
-    _FIELDS = COLUMNS + ("gamma", "xi")
+    # name -> storage: an array typecode, or None for a list
+    _FIELDS = {"k": "q", "residual": "d", "spread": "d", "l2": "d",
+               "budget_used": "d", "resolvent_calls": "q",
+               "forward_calls": "q", "dist_to_ref": None,
+               "gamma": "d", "xi": "d"}
+    COLUMNS = tuple(_FIELDS)[:-2]  # gamma and xi are not exported
 
     def __init__(self, record_states=False):
-        self._columns = tuple([] for _ in self._FIELDS)
+        self._columns = tuple([] if code is None else array(code)
+                              for code in self._FIELDS.values())
         vars(self).update(zip(self._FIELDS, self._columns))
         self.z_states = [] if record_states else None
 

@@ -81,6 +81,19 @@ def test_validate_missing_file():
     assert main(["validate", "/nonexistent/scheme.json"]) == 2
 
 
+@pytest.mark.parametrize("doc", [
+    {"M": [[1], [-1]], "S": [[2, -1], [-1, 2]], "C": [[0], [1]],
+     "Q": [[1, 0]], "theta": 1.0, "L": [float("inf")]},
+    {"M": [[1], [-1]], "theta": 1.0, "L": [1.0, 2.0]},
+])
+def test_validate_bad_lipschitz_exit_code(tmp_path, capsys, doc):
+    # a non-finite L or one of the wrong length is a malformed document
+    assert main(["validate", write_json(tmp_path, doc, "bad_L.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid scheme document" in captured.err
+
+
 def test_solve_dr_quadratic(tmp_path):
     out = tmp_path / "out"
     cfg = run_config(tmp_path, out)

@@ -22,6 +22,7 @@ from splitdev import (
     validate,
     zero_monotone,
 )
+from splitdev.markowitz import estimate_moments, synthetic_instance
 
 
 def test_prox_shifted_l1_pinned_values():
@@ -178,6 +179,35 @@ def test_estimate_cocoercivity_rejects_asymmetric_or_indefinite():
         estimate_cocoercivity(np.diag([1.0, -1e-6]))
     with pytest.raises(InvalidInputError):
         affine_cocoercive(np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros(2))
+
+
+def test_estimate_cocoercivity_at_extreme_scales():
+    # the allowance's ||A||_F no longer overflows to inf (and lets any matrix
+    # through) once entries pass about 1e154, nor underflows to 0 (and
+    # refuses round-off asymmetry) below about 1e-162
+    with np.errstate(all="raise"):
+        with pytest.raises(InvalidInputError, match="semidefinite"):
+            estimate_cocoercivity(np.diag([1e160, -1e160]))
+        with pytest.raises(InvalidInputError, match="symmetric"):
+            estimate_cocoercivity(np.array([[1e160, 1e160], [0.0, 1e160]]))
+        got = estimate_cocoercivity(np.diag([1e160, 1e159]))
+        tiny = estimate_cocoercivity(
+            1e-170 * np.array([[2.0, 1.0], [1.0 + 4e-16, 2.0]]))
+    assert np.isfinite(got) and got >= 1e160
+    assert tiny == pytest.approx(3e-170, rel=1e-14)
+
+
+def test_estimate_cocoercivity_keeps_the_unscaled_bits():
+    # the power-of-two scaling changes no bit where ||A||_F was finite
+    def unscaled(A):
+        tol = float(4 * A.shape[0] * np.finfo(float).eps * np.linalg.norm(A))
+        return float(np.linalg.eigvalsh(0.5 * (A + A.T))[-1]) + tol
+
+    for A in hard_psd_matrices(seed=23):
+        assert estimate_cocoercivity(A) == unscaled(A)
+    Lam, _ = estimate_moments(synthetic_instance(seed=0, days=200,
+                                                 assets=53))
+    assert estimate_cocoercivity(Lam) == 0.02524968213229084  # criterion 9
 
 
 def test_monotone_from_prox_resolvent_is_nonexpansive():

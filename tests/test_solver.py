@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -454,6 +455,35 @@ def test_record_states_keeps_every_dual_iterate():
     assert res.trajectory.z_states[0].shape == (1, 1)
 
 
+def test_trajectory_columns_hold_unboxed_values():
+    # counts in array('q') and floats in array('d'), 8 bytes a value; these
+    # rows as boxed Python objects in lists take about 210 bytes each
+    rows = 5000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tr = sd.Trajectory()
+        for k in range(rows):
+            x = k + 0.5  # fresh floats each row, as a solve makes them
+            tr.append(k, x / 3, x / 5, x / 7, x / 11, 4, 3, None, 0.9, 0.5)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(tr) == rows
+    assert retained / rows <= 100
+    codes = {name: getattr(getattr(tr, name), "typecode", None)
+             for name in sd.Trajectory.COLUMNS + ("gamma", "xi")}
+    assert codes == {"k": "q", "residual": "d", "spread": "d", "l2": "d",
+                     "budget_used": "d", "resolvent_calls": "q",
+                     "forward_calls": "q", "dist_to_ref": None,
+                     "gamma": "d", "xi": "d"}
+    assert isinstance(tr.dist_to_ref, list)
+    assert type(tr.k[7]) is int and type(tr.l2[7]) is float
+    assert tr.l2[7] == 7.5 / 7
+    view = np.asarray(tr.l2)  # zero-copy
+    assert view.dtype == np.float64 and np.shares_memory(view, tr.l2)
+
+
 def momentum_case(seed):
     """chain_fb(3, 1) at dim 3 with gamma 0.5 and xi 0.8."""
     prob = random_affine_problem(chain_fb(3, 1, lipschitz=np.ones(1)),
@@ -533,7 +563,7 @@ def test_solve_matches_loop_reference_bit_for_bit(kind, policy):
     tr = res.trajectory
     assert len(tr) == len(columns["k"]) > 10
     for name, expected in columns.items():
-        assert getattr(tr, name) == expected, name
+        assert list(getattr(tr, name)) == expected, name
     assert len(tr.z_states) == len(z_states)
     for got, want in zip(tr.z_states, z_states):
         assert np.array_equal(got, want)
