@@ -35,6 +35,7 @@ from .markowitz import (
     ExperimentReport,
     MarketData,
     MarkowitzProblem,
+    RunRecord,
     build_problem,
     estimate_moments,
     load_returns_csv,
@@ -61,6 +62,7 @@ from .operators import (
     zero_monotone,
 )
 from .scheme import (
+    CheckResult,
     Scheme,
     ValidationReport,
     build_default_S,

@@ -38,7 +38,7 @@ from .markowitz import (
     synthetic_instance,
 )
 from .operators import MonotoneOp, Problem
-from .scheme import douglas_rachford, scheme_from_json, validate
+from .scheme import _theta, douglas_rachford, scheme_from_json, validate
 from .solver import ParamSchedule, StopRule, solve
 
 EXIT_OK = 0
@@ -151,30 +151,33 @@ def _tolerance(section, key, default):
     return value
 
 
-def _markowitz_problem(cfg, schedule, ref_tol, max_iter):
+def _markowitz_problem(cfg, theta, schedule, ref_tol, max_iter):
     builder = _Builder(_load_data(cfg["data"]), ["chain_fb"],
-                       float(cfg.get("delta", 6.0)), schedule, ref_tol,
+                       float(cfg.get("delta", 6.0)), theta, schedule, ref_tol,
                        max_iter)
     return builder.problem(int(cfg.get("case", 1)), 0,
                            int(cfg.get("x0_seed", 0)))
 
 
 def _build_scheme(doc, problem, theta, scale):
-    if isinstance(doc, dict) and doc.get("builtin") == "chain_fb":
-        doc = dict(doc)
-        doc.setdefault("n", problem.n)
-        doc.setdefault("m", problem.m)
-        doc.setdefault("L", problem.lipschitz.tolist())
-        doc.setdefault("theta", theta)
-        doc.setdefault("scale", scale)
+    # theta for a builtin without its own; chain_fb also takes n, m, L, scale
+    if isinstance(doc, dict) and "builtin" in doc:
+        doc = {"theta": theta, **doc}
+        if doc["builtin"] == "chain_fb":
+            doc.setdefault("n", problem.n)
+            doc.setdefault("m", problem.m)
+            doc.setdefault("L", problem.lipschitz.tolist())
+            doc.setdefault("scale", scale)
     return scheme_from_json(doc, lipschitz=problem.lipschitz)
 
 
 def _build_schedule(cfg):
-    return ParamSchedule(gamma=float(cfg.get("gamma", 0.9)),
-                         xi=float(cfg.get("xi", 0.9)),
-                         theta=float(cfg.get("theta", 1.0)),
-                         epsilon=float(cfg.get("epsilon", 1e-3)))
+    """The ParamSchedule and the theta of the schemes the CLI builds."""
+    cfg = _object(cfg.get("schedule"), "schedule")
+    schedule = ParamSchedule(gamma=float(cfg.get("gamma", 0.9)),
+                             xi=float(cfg.get("xi", 0.9)),
+                             epsilon=float(cfg.get("epsilon", 1e-3)))
+    return schedule, _theta(float(cfg.get("theta", 1.0)))
 
 
 def cmd_solve(args):
@@ -184,7 +187,7 @@ def cmd_solve(args):
         return _fail(f"cannot read run config: {exc}", EXIT_BAD_CONFIG)
     try:
         cfg = _object(cfg, "run config")
-        schedule = _build_schedule(_object(cfg.get("schedule"), "schedule"))
+        schedule, theta = _build_schedule(cfg)
         stop_cfg = _object(cfg.get("stop"), "stop")
         stop = StopRule(tol=_tolerance(stop_cfg, "tol", 1e-8),
                         max_iter=int(stop_cfg.get("max_iter", 10 ** 6)))
@@ -193,17 +196,16 @@ def cmd_solve(args):
         problem_cfg = _object(cfg.get("problem"), "problem")
         kind = problem_cfg.get("kind")
         if kind == "markowitz":
-            problem, scheme, _ = _markowitz_problem(problem_cfg, schedule,
-                                                    ref_tol, stop.max_iter)
+            problem, scheme, _ = _markowitz_problem(
+                problem_cfg, theta, schedule, ref_tol, stop.max_iter)
             scale = portfolio_chain_scale(problem.dim)
         elif kind == "dr_quadratic":
             problem = _dr_quadratic_problem()
-            scheme, scale = douglas_rachford(1.0, theta=schedule.theta), 1.0
+            scheme, scale = douglas_rachford(1.0, theta=theta), 1.0
         else:
             raise ValueError(f"unknown problem kind {kind!r}")
         if cfg.get("scheme") is not None:
-            scheme = _build_scheme(cfg["scheme"], problem, schedule.theta,
-                                   scale)
+            scheme = _build_scheme(cfg["scheme"], problem, theta, scale)
         if stop_cfg.get("reference") == "auto":
             stop.reference = _reference_solution(problem, scheme, schedule,
                                                  ref_tol, stop.max_iter)
@@ -270,7 +272,7 @@ def cmd_experiment(args):
             seeds = [int(s) for s in seeds_cfg]
         if not seeds or not cases or not schemes or not policies:
             raise ValueError("experiment grid is empty")
-        schedule = _build_schedule(_object(cfg.get("schedule"), "schedule"))
+        schedule, theta = _build_schedule(cfg)
         stop = StopRule(tol=_tolerance(cfg, "tol", 1e-8),
                         max_iter=int(cfg.get("max_iter", 10 ** 6)))
         ref_tol = _tolerance(cfg, "ref_tol", 1e-12)
@@ -280,8 +282,8 @@ def cmd_experiment(args):
         return _fail(f"invalid experiment config: {exc}", EXIT_BAD_CONFIG)
 
     outcomes = run_grid(data, cases, schemes, policies, seeds, delta=delta,
-                        schedule=schedule, tol=stop.tol, ref_tol=ref_tol,
-                        max_iter=stop.max_iter)
+                        theta=theta, schedule=schedule, tol=stop.tol,
+                        ref_tol=ref_tol, max_iter=stop.max_iter)
     cells = [(case, scheme, policy_name) for case in cases
              for scheme in schemes for policy_name in policy_names]
     lines = ["case,scheme,policy,mean_iters,std_iters,n_seeds"]

@@ -39,7 +39,7 @@ from .operators import (
     estimate_cocoercivity,
     project_simplex,
 )
-from .scheme import Scheme, chain_fb
+from .scheme import Scheme, _theta, chain_fb
 from .solver import ParamSchedule, StopRule, solve
 
 __all__ = [
@@ -191,7 +191,7 @@ class MarkowitzProblem:
                 or not np.all(np.isfinite(x0)):
             raise InvalidParameterError("non-finite model data")
         # the gradient of 0.5 x' Lambda x sees only the symmetric part
-        Lam, _ = _symmetric_psd(Lam, "Lambda", InvalidParameterError)
+        Lam = _symmetric_psd(Lam, "Lambda", InvalidParameterError)[0]
         object.__setattr__(self, "Lambda", Lam)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "delta", _ridge_weight(self.delta))
@@ -320,11 +320,11 @@ class _Builder:
     or solve that raised raises the same error on every later request.
     """
 
-    def __init__(self, data, schemes, delta, schedule, ref_tol, max_iter):
-        self.data, self.schemes = data, schemes
-        self.delta = _ridge_weight(delta)
-        self.schedule, self.ref_tol, self.max_iter = (schedule, ref_tol,
-                                                      max_iter)
+    def __init__(self, data, schemes, delta, theta, schedule, ref_tol,
+                 max_iter):
+        self.data, self.schemes, self.schedule = data, schemes, schedule
+        self.delta, self.theta = _ridge_weight(delta), _theta(theta)
+        self.ref_tol, self.max_iter = ref_tol, max_iter
         self._memo = {}
 
     def _memoized(self, key, compute):
@@ -351,7 +351,7 @@ class _Builder:
                   else self.reference(1, k, seed))
             problem = build_problem(MarkowitzProblem(*moments, self.delta, x0))
             return (problem, *_scheme_for(problem, self.schemes[k],
-                                          self.schedule.theta))
+                                          self.theta))
         return self._memoized(("problem", case, k, seed), compute)
 
     def reference(self, case, k, seed):
@@ -364,7 +364,7 @@ class _Builder:
 
 
 def run_grid(data, cases=(1,), schemes=("chain_fb",), policies=("zero",),
-             seeds=range(50), delta=6.0, schedule=None, tol=1e-8,
+             seeds=range(50), delta=6.0, theta=1.0, schedule=None, tol=1e-8,
              ref_tol=1e-12, max_iter=10 ** 6):
     """Iteration-count experiment over a (case, scheme, policy) grid.
 
@@ -372,7 +372,8 @@ def run_grid(data, cases=(1,), schemes=("chain_fb",), policies=("zero",),
     problem on the given returns window, compute the reference solution x*
     by a deviation-free run to residual ``ref_tol``, then run the policy
     under test until ||x_n^k - x*|| < tol and record the iteration count.
-    Every solve runs under ``schedule``, by default ``ParamSchedule()``.
+    Every solve runs under ``schedule``, by default ``ParamSchedule()``;
+    the ``chain_fb`` schemes built here take ``theta``.
 
     Case 1 prices on the window as given.  Case 2 rebalances 20 periods
     later: the starting allocation is the Case-1 solution for the same seed
@@ -382,13 +383,14 @@ def run_grid(data, cases=(1,), schemes=("chain_fb",), policies=("zero",),
     reference is solved once, lazily in cell order, and shared by every
     policy.  Returns one entry per cell, ordered by case, then scheme, then
     policy: an ExperimentReport, or the SplitdevError the cell raised.  A
-    delta that is not finite and positive raises InvalidParameterError
-    before any cell runs.
+    delta that is not finite and positive raises InvalidParameterError,
+    and such a theta InvalidInputError, before any cell runs.
     """
     cases, schemes, policies, seeds = map(list, (cases, schemes, policies,
                                                  seeds))
     schedule = schedule if schedule is not None else ParamSchedule()
-    builder = _Builder(data, schemes, delta, schedule, ref_tol, max_iter)
+    builder = _Builder(data, schemes, delta, theta, schedule, ref_tol,
+                       max_iter)
 
     def run_cell(case, k, policy):
         if not seeds:
@@ -421,11 +423,11 @@ def run_grid(data, cases=(1,), schemes=("chain_fb",), policies=("zero",),
 
 
 def run_experiment(data, scheme_kind="chain_fb", policy="zero", case=1,
-                   seeds=range(50), delta=6.0, schedule=None, tol=1e-8,
-                   ref_tol=1e-12, max_iter=10 ** 6):
+                   seeds=range(50), delta=6.0, theta=1.0, schedule=None,
+                   tol=1e-8, ref_tol=1e-12, max_iter=10 ** 6):
     """One cell of ``run_grid``: the report, or the cell's error raised."""
     [outcome] = run_grid(data, [case], [scheme_kind], [policy], seeds,
-                         delta=delta, schedule=schedule, tol=tol,
+                         delta=delta, theta=theta, schedule=schedule, tol=tol,
                          ref_tol=ref_tol, max_iter=max_iter)
     if isinstance(outcome, SplitdevError):
         raise outcome

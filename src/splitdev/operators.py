@@ -135,7 +135,7 @@ def affine_gradient(A, b, x):
 
 
 def _symmetric_psd(A, name, error):
-    """(A + A^T)/2 and an upper bound on its lambda_max, for symmetric PSD A.
+    """(A + A^T)/2, its computed lambda_max and the allowance tol.
 
     ``error`` is raised unless the square, finite A is symmetric and PSD up
     to tol = 4 p eps ||A||_F.  The symmetric eigensolver is backward stable,
@@ -145,19 +145,32 @@ def _symmetric_psd(A, name, error):
     never below the true lambda_max.  ||A||_F is taken of A divided by the
     power of two just above max |a_ij|, then multiplied back: the scaling is
     exact, so tol keeps its bits wherever the plain sum of squares neither
-    overflows nor underflows, and stays finite past entries of 1e154.
+    overflows nor underflows, and stays finite past entries of 1e154.  The
+    symmetric part halves before it adds, so it cannot overflow; a spectrum
+    whose bound lambda_max + tol overflows raises ``error``.
     """
     e = math.frexp(float(np.abs(A).max()))[1]
     tol = math.ldexp(float(4 * A.shape[0] * np.finfo(float).eps
                            * np.linalg.norm(np.ldexp(A, -e))), e)
     if float(np.abs(A - A.T).max()) > tol:
         raise error(f"{name} must be symmetric")
-    sym = 0.5 * (A + A.T)
+    sym = 0.5 * A + 0.5 * A.T
     eigs = np.linalg.eigvalsh(sym)
+    top = float(eigs[-1])
+    if not (np.isfinite(eigs).all() and math.isfinite(top + tol)):
+        raise error(f"{name} has eigenvalues beyond the float range")
     if eigs[0] < -tol:
         raise error(f"{name} must be positive semidefinite "
                     f"(lambda_min = {eigs[0]:.3e})")
-    return sym, float(eigs[-1]) + tol
+    return sym, top, tol
+
+
+def _checked_square(A):
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ShapeError("A must be square")
+    _check_finite("A", A)
+    return A
 
 
 def estimate_cocoercivity(A):
@@ -169,17 +182,16 @@ def estimate_cocoercivity(A):
     Raises
     ------
     InvalidInputError
-        If A is not symmetric or not positive semidefinite.
+        If A is not symmetric or not positive semidefinite, or if its
+        lambda_max is beyond the float range.
     DegenerateOperatorError
         If A is the zero matrix.
     """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ShapeError("A must be square")
-    _check_finite("A", A)
+    A = _checked_square(A)
     if not A.any():
         raise DegenerateOperatorError("zero matrix has no spectral scale")
-    return _symmetric_psd(A, "A", InvalidInputError)[1]
+    _, top, tol = _symmetric_psd(A, "A", InvalidInputError)
+    return top + tol
 
 
 @dataclass(frozen=True)
@@ -254,12 +266,21 @@ def zero_monotone(label=""):
 def affine_cocoercive(A, b, lipschitz=None, label=""):
     """Cocoercive operator x -> A x - b for symmetric PSD A.
 
-    When ``lipschitz`` is omitted it is ``estimate_cocoercivity(A)``.
+    A must be square, finite, symmetric and PSD whether or not
+    ``lipschitz`` is given.  When omitted it is ``estimate_cocoercivity(A)``;
+    a given one may not fall short of the computed lambda_max(A) by more
+    than the round-off allowance (InvalidInputError).
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     if lipschitz is None:
         lipschitz = estimate_cocoercivity(A)
+    else:
+        _, top, tol = _symmetric_psd(_checked_square(A), "A",
+                                     InvalidInputError)
+        if lipschitz < top - tol:
+            raise InvalidInputError(
+                f"lipschitz = {lipschitz} is below lambda_max(A) = {top!r}")
     return CocoerciveOp(eval=lambda x: A @ x - b, lipschitz=float(lipschitz),
                         label=label)
 

@@ -212,6 +212,23 @@ def check_row_sums(C, Q):
     return CheckResult("row_sums", True, "all C columns and Q rows sum to 1")
 
 
+def _theta(theta):
+    """theta as a float; InvalidInputError unless it is finite and positive."""
+    if not np.isfinite(theta) or theta <= 0:
+        raise InvalidInputError("theta must be positive")
+    return float(theta)
+
+
+def _cocoercivity_constants(lipschitz, m):
+    """The m constants L_j as an (m,) float array, each finite and positive."""
+    L = np.asarray(lipschitz, dtype=float)
+    if L.shape != (m,):
+        raise ShapeError(f"need {m} cocoercivity constants, got {L.shape}")
+    if not np.all(np.isfinite(L)) or np.any(L <= 0):
+        raise InvalidInputError("cocoercivity constants must be positive")
+    return L
+
+
 def _coupling_quadratic(C, Q, lipschitz):
     # (C^T - Q)^T diag(L) (C^T - Q), the forward-coupling penalty.
     T = C.T - Q  # (m, n)
@@ -266,10 +283,9 @@ def build_default_S(M, C, Q, lipschitz, theta):
     M = np.asarray(M, dtype=float)
     C = np.asarray(C, dtype=float)
     Q = np.asarray(Q, dtype=float)
-    if not np.isfinite(theta) or theta <= 0:
-        raise InvalidInputError("theta must be positive")
-    S = M @ M.T + 0.5 * (1.0 + 1.0 / theta) * _coupling_quadratic(
-        C, Q, lipschitz)
+    L = _cocoercivity_constants(lipschitz, C.shape[1])
+    theta = _theta(theta)
+    S = M @ M.T + 0.5 * (1.0 + 1.0 / theta) * _coupling_quadratic(C, Q, L)
     S = 0.5 * (S + S.T)
     if np.any(np.diag(S) <= 1e-12):
         i = int(np.argmin(np.diag(S)))
@@ -308,10 +324,9 @@ def _sweep_plan(d, S, C, Q):
 class Scheme:
     """Immutable bundle (M, S, C, Q, theta) plus derived stepsize data.
 
-    Derived on construction: d with d_i = 2/S_ii, D = diag(d), the strictly
-    lower triangular feedback N = -slt(S), so that for symmetric S the
-    identity S = 2 D^{-1} - N - N^T holds exactly, and ``plan``, one
-    SweepRow per primal row for the solver's sweep.
+    Derived on construction: the stepsizes d with d_i = 2/S_ii and
+    ``plan``, one SweepRow per primal row for the solver's sweep.  theta
+    is the one the solver uses for the deviation budget.
     """
 
     def __init__(self, M, S, C, Q, theta):
@@ -331,8 +346,6 @@ class Scheme:
         m = C.shape[1]
         if Q.shape != (m, n):
             raise ShapeError(f"Q must be {(m, n)}, got {Q.shape}")
-        if not np.isfinite(theta) or theta <= 0:
-            raise InvalidInputError("theta must be positive")
         for name, a in (("M", M), ("S", S), ("C", C), ("Q", Q)):
             if not np.all(np.isfinite(a)):
                 raise InvalidInputError(f"{name} contains non-finite entries")
@@ -341,14 +354,11 @@ class Scheme:
         self.S = S
         self.C = C
         self.Q = Q
-        self.theta = float(theta)
+        self.theta = _theta(theta)
         self.d = compute_stepsizes(S)
-        self.D = np.diag(self.d)
-        self.N = -np.tril(S, -1)
-        for a in (self.M, self.S, self.C, self.Q, self.d, self.D, self.N):
+        for a in (self.M, self.S, self.C, self.Q, self.d):
             a.flags.writeable = False
         self.plan = _sweep_plan(self.d, self.S, self.C, self.Q)
-        self.report = None
 
     @property
     def n(self):
@@ -363,19 +373,14 @@ class Scheme:
 
 
 def validate(scheme, lipschitz=None):
-    """Run every structural check and attach the report to the scheme.
+    """Run every structural check and return the report.
 
     ``lipschitz`` lists the cocoercivity constants L_j of the forward
     operators the scheme will drive; it defaults to all ones, which is only
     adequate for m = 0 or exploratory use.
     """
-    if lipschitz is None:
-        lipschitz = np.ones(scheme.m)
-    lipschitz = np.asarray(lipschitz, dtype=float)
-    if lipschitz.shape != (scheme.m,):
-        raise ShapeError(f"need {scheme.m} cocoercivity constants")
-    if np.any(lipschitz <= 0) or not np.all(np.isfinite(lipschitz)):
-        raise InvalidInputError("cocoercivity constants must be positive")
+    lipschitz = _cocoercivity_constants(
+        np.ones(scheme.m) if lipschitz is None else lipschitz, scheme.m)
 
     checks = []
     S = scheme.S
@@ -396,9 +401,7 @@ def validate(scheme, lipschitz=None):
         checks.append(CheckResult("causality", False, str(exc)))
     checks.append(check_psd_condition(S, scheme.M, scheme.C, scheme.Q,
                                       lipschitz, scheme.theta))
-    report = ValidationReport(checks)
-    scheme.report = report
-    return report
+    return ValidationReport(checks)
 
 
 def douglas_rachford(gamma, theta=1.0):
@@ -420,7 +423,8 @@ def davis_yin(gamma, theta=1.0, lipschitz=(1.0,)):
     """
     if not np.isfinite(gamma) or gamma <= 0:
         raise InvalidInputError("gamma must be positive")
-    L1 = float(np.asarray(lipschitz, dtype=float).reshape(1)[0])
+    theta = _theta(theta)
+    L1 = float(_cocoercivity_constants(np.ravel(lipschitz), 1)[0])
     a2 = 2.0 / gamma - 0.5 * (1.0 + 1.0 / theta) * L1
     if a2 <= 0:
         raise DegenerateStepsizeError(
@@ -455,9 +459,6 @@ def chain_fb(n, m, lipschitz=(), theta=1.0, scale=1.0):
     scale = float(scale)
     if not scale > 0.0 or not np.isfinite(scale):
         raise InvalidParameterError("scale must be positive and finite")
-    L = np.asarray(lipschitz, dtype=float)
-    if L.shape != (m,):
-        raise ShapeError(f"need {m} cocoercivity constants, got {L.shape}")
     M = np.zeros((n, n - 1))
     idx = np.arange(n - 1)
     M[idx, idx] = scale
@@ -467,7 +468,7 @@ def chain_fb(n, m, lipschitz=(), theta=1.0, scale=1.0):
     Q = np.zeros((m, n))
     for j in range(m):
         Q[j, :j + 1] = 1.0 / (j + 1)
-    S = build_default_S(M, C, Q, L, theta)
+    S = build_default_S(M, C, Q, lipschitz, theta)
     return Scheme(M, S, C, Q, theta)
 
 
@@ -532,7 +533,7 @@ def scheme_from_json(doc, lipschitz=None):
     m = C.shape[1]
     Q = np.asarray(Q, dtype=float) if np.asarray(Q).size else np.zeros((m, n))
     L = doc.get("L", lipschitz)
-    L = np.ones(m) if L is None else np.asarray(L, dtype=float)
+    L = np.ones(m) if L is None else L
     if "S" in doc:
         S = np.asarray(doc["S"], dtype=float)
     else:

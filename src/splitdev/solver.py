@@ -59,7 +59,7 @@ __all__ = [
 
 @dataclass
 class ParamSchedule:
-    """Per-iteration parameters gamma_k, xi_k and the fixed weight theta.
+    """Per-iteration parameters gamma_k and xi_k (theta is the scheme's).
 
     gamma and xi may be plain floats or callables of the iteration index.
     Values are checked on access: epsilon <= gamma_k <= 1 - epsilon and
@@ -68,12 +68,9 @@ class ParamSchedule:
 
     gamma: Union[float, Callable[[int], float]] = 0.9
     xi: Union[float, Callable[[int], float]] = 0.9
-    theta: float = 1.0
     epsilon: float = 1e-3
 
     def __post_init__(self):
-        if not np.isfinite(self.theta) or self.theta <= 0:
-            raise InvalidInputError("theta must be positive")
         if not 0.0 < self.epsilon < 0.5:
             raise InvalidInputError("epsilon must lie in (0, 0.5)")
         if not callable(self.gamma):
@@ -327,13 +324,13 @@ def step(problem, scheme, state, schedule, policy):
         dw = scheme.Q @ (x - state.x) if state.x is not None else None
         window = PolicyWindow(k=state.k, dz=dz, dw=dw)
         u_new, v_new = policy.produce(window, budget, gamma_next,
-                                      schedule.theta, problem.lipschitz)
+                                      scheme.theta, problem.lipschitz)
         u_new = np.asarray(u_new, dtype=float)
         v_new = np.asarray(v_new, dtype=float)
         if (u_new.shape != (scheme.m, problem.dim)
                 or v_new.shape != state.v.shape):
             raise ShapeError("policy returned a deviation pair of wrong shape")
-        cost = deviation_cost(u_new, v_new, gamma_next, schedule.theta,
+        cost = deviation_cost(u_new, v_new, gamma_next, scheme.theta,
                               problem.lipschitz)
         if not math.isfinite(cost) or cost > budget + 1e-12 * (1.0 + budget):
             raise BudgetViolationError(f"deviation cost {cost} exceeds "
@@ -362,9 +359,6 @@ def solve(problem, scheme, schedule=None, policy=None, stop=None, z0=None,
         raise SchemeValidationError(
             f"scheme is {scheme.n}x{scheme.m}, problem needs "
             f"{problem.n}x{problem.m}")
-    if schedule.theta != scheme.theta:
-        raise InvalidInputError(
-            f"schedule theta {schedule.theta} != scheme theta {scheme.theta}")
     report = validate(scheme, problem.lipschitz)
     if not report.passed:
         names = [c.name for c in report.failed()]

@@ -7,10 +7,13 @@ import pytest
 
 from splitdev import (
     ParamSchedule,
+    StopRule,
     davis_yin,
     douglas_rachford,
     run_experiment,
+    scheme_from_json,
     scheme_to_json,
+    solve,
     synthetic_instance,
 )
 from splitdev import cli, markowitz
@@ -85,6 +88,7 @@ def test_validate_missing_file():
     {"M": [[1], [-1]], "S": [[2, -1], [-1, 2]], "C": [[0], [1]],
      "Q": [[1, 0]], "theta": 1.0, "L": [float("inf")]},
     {"M": [[1], [-1]], "theta": 1.0, "L": [1.0, 2.0]},
+    {"builtin": "chain_fb", "n": 3, "m": 1, "L": [-1]},
 ])
 def test_validate_bad_lipschitz_exit_code(tmp_path, capsys, doc):
     # a non-finite L or one of the wrong length is a malformed document
@@ -222,6 +226,55 @@ def test_solve_out_of_range_schedule_exit_code(tmp_path, capsys):
     cfg = run_config(tmp_path, out, schedule={"gamma": 1.5, "xi": 0.0})
     assert main(["solve", cfg]) == 2
     assert "gamma" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("schedule,scheme", [
+    ({"gamma": 0.45, "xi": 0.0}, {"M": [[1], [-1]], "theta": 2.0}),
+    ({"gamma": 0.45, "xi": 0.0},
+     {"builtin": "douglas_rachford", "gamma": 1.0, "theta": 2.0}),
+    ({"gamma": 0.45, "xi": 0.0, "theta": 2.0},
+     {"M": [[1], [-1]], "theta": 1.0}),
+])
+def test_solve_runs_at_the_scheme_theta(tmp_path, schedule, scheme):
+    # a scheme document's own theta wins over schedule.theta
+    out = tmp_path / "out"
+    cfg = run_config(tmp_path, out, schedule=schedule, scheme=scheme)
+    assert main(["solve", cfg]) == 0
+    assert json.loads((out / "summary.json").read_text())["converged"]
+    lib = solve(cli._dr_quadratic_problem(), scheme_from_json(scheme),
+                schedule=ParamSchedule(gamma=0.45, xi=0.0),
+                stop=StopRule(tol=1e-8))
+    assert (out / "trajectory.csv").read_text() == \
+        lib.trajectory.to_csv_text()
+
+
+@pytest.mark.parametrize("builtin", [
+    {"builtin": "douglas_rachford", "gamma": 1.0},
+    {"builtin": "chain_fb", "n": 2, "m": 0},
+])
+def test_schedule_theta_reaches_builtin_documents(tmp_path, monkeypatch,
+                                                   builtin):
+    # a builtin document without theta is built at schedule.theta
+    seen = []
+
+    def recording_solve(problem, scheme, **kwargs):
+        seen.append(scheme.theta)
+        return solve(problem, scheme, **kwargs)
+
+    monkeypatch.setattr(cli, "solve", recording_solve)
+    out = tmp_path / "out"
+    cfg = run_config(tmp_path, out, scheme=builtin,
+                     schedule={"gamma": 0.45, "xi": 0.0, "theta": 0.5})
+    assert main(["solve", cfg]) == 0
+    assert seen == [0.5]
+
+
+def test_solve_bad_schedule_theta_exit_code(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = run_config(tmp_path, out, schedule={"gamma": 0.45, "theta": 0})
+    assert main(["solve", cfg]) == 2
+    assert "theta" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -344,6 +344,20 @@ def test_run_grid_rejects_bad_delta_before_any_cell(monkeypatch, delta):
     assert calls == []
 
 
+@pytest.mark.parametrize("theta", [-1.0, 0.0, np.nan, np.inf])
+def test_run_grid_rejects_bad_theta_before_any_cell(monkeypatch, theta):
+    calls = []
+    monkeypatch.setattr(markowitz, "solve",
+                        lambda *a, **k: calls.append(1))
+    data = synthetic_instance(seed=0, days=60, assets=4)
+    with pytest.raises(InvalidInputError, match="theta"):
+        run_grid(data, cases=[1, 2], policies=["zero"], seeds=[0],
+                 theta=theta)
+    with pytest.raises(InvalidInputError, match="theta"):
+        run_experiment(data, seeds=[0], theta=theta)
+    assert calls == []
+
+
 def test_run_grid_reports_failed_reference_on_every_cell():
     data = synthetic_instance(seed=0, days=60, assets=4)
     reports = run_grid(data, cases=[1, 2], policies=["zero", "momentum"],

@@ -22,7 +22,11 @@ from splitdev import (
     validate,
     zero_monotone,
 )
-from splitdev.markowitz import estimate_moments, synthetic_instance
+from splitdev.markowitz import (
+    MarkowitzProblem,
+    estimate_moments,
+    synthetic_instance,
+)
 
 
 def test_prox_shifted_l1_pinned_values():
@@ -197,6 +201,20 @@ def test_estimate_cocoercivity_at_extreme_scales():
     assert tiny == pytest.approx(3e-170, rel=1e-14)
 
 
+def test_estimate_cocoercivity_near_the_float_maximum():
+    # the symmetric part halves before it adds, so 1e308 entries stay finite;
+    # a lambda_max of 2e308 overflows and is refused, not returned as NaN
+    with np.errstate(all="raise"):
+        got = estimate_cocoercivity(np.diag([1e308, 1e308]))
+        with pytest.raises(InvalidInputError, match="float range"):
+            estimate_cocoercivity(
+                np.array([[1e308, -1e308], [-1e308, 1e308]]))
+        mp = MarkowitzProblem(np.diag([1e308, 1e308]), np.zeros(2), 6.0,
+                              np.array([0.5, 0.5]))
+    assert np.isfinite(got) and got >= 1e308
+    assert np.array_equal(mp.Lambda, np.diag([1e308, 1e308]))
+
+
 def test_estimate_cocoercivity_keeps_the_unscaled_bits():
     # the power-of-two scaling changes no bit where ||A||_F was finite
     def unscaled(A):
@@ -285,6 +303,22 @@ def test_affine_cocoercive_carries_spectral_constant():
     op = affine_cocoercive(A, np.zeros(2))
     assert op.lipschitz == pytest.approx(5.0)
     np.testing.assert_allclose(op.eval(np.array([1.0, 1.0])), [2.0, 5.0])
+
+
+def test_affine_cocoercive_checks_A_when_the_constant_is_given():
+    for A in ([[0.0, 1.0], [1.0, 0.0]], [[1.0, 5.0], [0.0, 1.0]]):
+        with pytest.raises(InvalidInputError):
+            affine_cocoercive(np.array(A), np.zeros(2), lipschitz=1.0)
+    A = np.diag([1.0, 2.0])
+    with pytest.raises(InvalidInputError, match="below"):
+        affine_cocoercive(A, np.zeros(2), lipschitz=1.9)
+    # short of lambda_max by round-off only, at or above it, or any for A = 0
+    for L in (2.0 * (1.0 - 1e-16), 2.0, 7.0):
+        assert affine_cocoercive(A, np.zeros(2), lipschitz=L).lipschitz == L
+    assert affine_cocoercive(np.eye(1), np.zeros(1),
+                             lipschitz=1.0).lipschitz == 1.0
+    assert affine_cocoercive(np.zeros((2, 2)), np.zeros(2),
+                             lipschitz=1.0).lipschitz == 1.0
 
 
 def test_cocoercive_op_rejects_bad_lipschitz():

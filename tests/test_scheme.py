@@ -193,7 +193,6 @@ def test_all_builtins_pass_validation():
         L = np.ones(sc.m)
         report = validate(sc, L)
         assert report.passed, report.failed()
-        assert sc.report is report
 
 
 def test_validation_catches_every_single_entry_mutation():
@@ -229,12 +228,23 @@ def test_scheme_shape_and_theta_validation():
         Scheme(M, S * np.nan, np.zeros((2, 0)), np.zeros((0, 2)), theta=1.0)
 
 
-def test_scheme_splitting_decomposition_identity():
-    # S = 2 D^{-1} - N - N^T with N the negated strict lower triangle
-    for sc in BUILTINS:
-        D = np.diag(sc.d)
-        np.testing.assert_allclose(
-            2.0 * np.linalg.inv(D) - sc.N - sc.N.T, sc.S, atol=1e-12)
+@pytest.mark.parametrize("theta", [0.0, -1.0, np.nan, np.inf])
+def test_builtins_refuse_a_bad_theta(theta):
+    # davis_yin divides by theta before building S; it checks it first
+    for build in (lambda: douglas_rachford(1.0, theta=theta),
+                  lambda: davis_yin(1.0, theta=theta),
+                  lambda: chain_fb(3, 1, (1.0,), theta=theta)):
+        with pytest.raises(InvalidInputError, match="theta"):
+            build()
+
+
+def test_build_default_S_checks_its_constants():
+    M, C, Q = np.array([[1.0], [-1.0]]), np.array([[0.0], [1.0]]), \
+        np.array([[1.0, 0.0]])
+    with pytest.raises(InvalidInputError, match="positive"):
+        build_default_S(M, C, Q, [-1.0], theta=1.0)
+    with pytest.raises(ShapeError):
+        build_default_S(M, C, Q, [1.0, 1.0], theta=1.0)
 
 
 def test_build_default_S_degenerate_diagonal_raises():

@@ -97,7 +97,7 @@ def splitting_cases(draw):
     else:
         sc = chain_fb(n, m, prob.lipschitz, theta=theta)
     schedule = ParamSchedule(gamma=draw(st.floats(0.1, 0.9)),
-                             xi=draw(st.floats(0.0, 0.95)), theta=theta)
+                             xi=draw(st.floats(0.0, 0.95)))
     return prob, sc, schedule
 
 
@@ -150,8 +150,6 @@ def test_param_schedule_validation():
         ParamSchedule(xi=0.9995).xi_at(0)
     with pytest.raises(InvalidInputError):
         ParamSchedule(gamma=1.5)  # a constant is checked on construction
-    with pytest.raises(InvalidInputError):
-        ParamSchedule(theta=0.0)
     with pytest.raises(InvalidInputError):
         ParamSchedule(epsilon=0.7)
 
@@ -345,12 +343,31 @@ def test_policy_shape_is_checked():
               policy=WrongShapePolicy(), stop=StopRule(max_iter=3))
 
 
-def test_theta_mismatch_refused():
-    sc = davis_yin(gamma=0.5, theta=1.5)
-    prob = Problem(F=[zero_monotone(), zero_monotone()],
-                   B=[affine_cocoercive(np.eye(1), np.zeros(1), 1.0)], dim=1)
-    with pytest.raises(InvalidInputError):
-        solve(prob, sc, schedule=ParamSchedule(theta=1.0))
+class ThetaRecorder(MomentumPolicy):
+    """Momentum that records the theta and pair of every ``produce`` call."""
+
+    def reset(self, problem, scheme):
+        super().reset(problem, scheme)
+        self.calls = []
+
+    def produce(self, window, budget, gamma_next, theta, lipschitz):
+        u, v = super().produce(window, budget, gamma_next, theta, lipschitz)
+        self.calls.append((theta, gamma_next, u, v))
+        return u, v
+
+
+def test_policy_and_budget_use_the_scheme_theta():
+    prob = random_affine_problem(davis_yin(gamma=0.1), dim=2, seed=3)
+    sc = davis_yin(gamma=1.0 / prob.lipschitz[0], theta=1.5,
+                   lipschitz=prob.lipschitz)
+    policy = ThetaRecorder(beta=0.8)
+    res = solve(prob, sc, schedule=ParamSchedule(gamma=0.5, xi=0.9),
+                policy=policy, stop=StopRule(tol=0.0, max_iter=20))
+    assert [call[0] for call in policy.calls] == [1.5] * 20
+    used = list(res.trajectory.budget_used)
+    assert used == [deviation_cost(u, v, g, 1.5, prob.lipschitz)
+                    for _, g, u, v in policy.calls]
+    assert max(used) > 0.0
 
 
 def test_dimension_mismatch_refused():
@@ -502,8 +519,7 @@ def test_fejer_monotonicity_small_sample(case, policy):
     # ||z^{k+1} - z*||^2 + l_k^2 <= ||z^k - z*||^2 + the cost of the pair
     # step k used, which the budget caps at xi_{k-1} l_{k-1}^2
     prob, sc, schedule = case
-    ref = solve(prob, sc, schedule=ParamSchedule(gamma=0.9, xi=0.0,
-                                                 theta=sc.theta),
+    ref = solve(prob, sc, schedule=ParamSchedule(gamma=0.9, xi=0.0),
                 stop=StopRule(tol=1e-13, max_iter=20000))
     assume(ref.converged)
     z_star = ref.state.z
