@@ -52,10 +52,8 @@ from .operators import (
     MonotoneOp,
     Problem,
     affine_cocoercive,
-    affine_gradient,
     affine_monotone,
     estimate_cocoercivity,
-    monotone_from_prox,
     project_simplex,
     prox_shifted_l1,
     prox_shifted_power32,
@@ -86,7 +84,6 @@ from .solver import (
     StopRule,
     Trajectory,
     deviation_budget,
-    dr_reference_step,
     extract_solution,
     fixed_point_residual,
     solve,

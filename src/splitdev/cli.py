@@ -38,7 +38,14 @@ from .markowitz import (
     synthetic_instance,
 )
 from .operators import MonotoneOp, Problem
-from .scheme import _theta, douglas_rachford, scheme_from_json, validate
+from .scheme import (
+    CheckResult,
+    ValidationReport,
+    _theta,
+    douglas_rachford,
+    scheme_from_json,
+    validate,
+)
 from .solver import ParamSchedule, StopRule, solve
 
 EXIT_OK = 0
@@ -86,22 +93,16 @@ def cmd_validate(args):
     try:
         scheme = scheme_from_json(doc)
         report = validate(scheme, doc.get("L"))
-    except SplitdevError as exc:
+    except DegenerateStepsizeError as exc:
         # Degenerate stepsizes are a failed check, not a malformed document.
-        if isinstance(exc, DegenerateStepsizeError):
-            report = {"passed": False,
-                      "checks": [{"name": "positive_diagonal",
-                                  "passed": False, "detail": str(exc),
-                                  "witness": None}]}
-            print(_dump_json(report), end="")
-            return EXIT_CHECKS_FAILED
-        return _fail(f"invalid scheme document: {exc}", EXIT_BAD_CONFIG)
-    except (KeyError, TypeError, ValueError) as exc:
+        scheme = None
+        report = ValidationReport(
+            [CheckResult("positive_diagonal", False, str(exc))])
+    except (SplitdevError, KeyError, TypeError, ValueError) as exc:
         return _fail(f"invalid scheme document: {exc}", EXIT_BAD_CONFIG)
     out = report.to_dict()
-    out["n"] = scheme.n
-    out["m"] = scheme.m
-    out["theta"] = scheme.theta
+    if scheme is not None:
+        out.update(n=scheme.n, m=scheme.m, theta=scheme.theta)
     print(_dump_json(out), end="")
     return EXIT_OK if report.passed else EXIT_CHECKS_FAILED
 

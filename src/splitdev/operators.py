@@ -25,9 +25,7 @@ __all__ = [
     "prox_shifted_l1",
     "prox_shifted_power32",
     "project_simplex",
-    "affine_gradient",
     "estimate_cocoercivity",
-    "monotone_from_prox",
     "affine_monotone",
     "zero_monotone",
     "affine_cocoercive",
@@ -50,6 +48,16 @@ def _checked_point(lam, s):
     s = np.asarray(s, dtype=float)
     _check_finite("s", s)
     return s
+
+
+def _checked_shift(lam, c, s):
+    """The prox weight, shift and point checked; c and s as float arrays."""
+    _check_weight(lam)
+    c = np.asarray(c, dtype=float)
+    s = np.asarray(s, dtype=float)
+    _check_finite("c", c)
+    _check_finite("s", s)
+    return c, s
 
 
 def _shrink_l1(lam, c, s):
@@ -77,12 +85,7 @@ def prox_shifted_l1(lam, c, s):
     c, s : array_like
         Shift point and evaluation point, broadcast together.
     """
-    _check_weight(lam)
-    c = np.asarray(c, dtype=float)
-    s = np.asarray(s, dtype=float)
-    _check_finite("c", c)
-    _check_finite("s", s)
-    return _shrink_l1(lam, c, s)
+    return _shrink_l1(lam, *_checked_shift(lam, c, s))
 
 
 def prox_shifted_power32(lam, c, s):
@@ -94,12 +97,7 @@ def prox_shifted_power32(lam, c, s):
     at the shift except when s_i = c_i exactly, because the power 3/2 has a
     vanishing derivative there.
     """
-    _check_weight(lam)
-    c = np.asarray(c, dtype=float)
-    s = np.asarray(s, dtype=float)
-    _check_finite("c", c)
-    _check_finite("s", s)
-    return _shrink_power32(lam, c, s)
+    return _shrink_power32(lam, *_checked_shift(lam, c, s))
 
 
 def project_simplex(s):
@@ -119,19 +117,6 @@ def project_simplex(s):
     k = mask.nonzero()[0][-1]
     tau = css[k] / (k + 1.0)
     return np.maximum(s - tau, 0.0)
-
-
-def affine_gradient(A, b, x):
-    """Evaluate x -> A x - b, the gradient of 0.5 x'Ax - b'x for symmetric A."""
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ShapeError("A must be square")
-    if b.shape != (A.shape[0],) or x.shape != (A.shape[0],):
-        raise ShapeError("b and x must match the side of A")
-    _check_finite("x", x)
-    return A @ x - b
 
 
 def _symmetric_psd(A, name, error):
@@ -171,6 +156,16 @@ def _checked_square(A):
         raise ShapeError("A must be square")
     _check_finite("A", A)
     return A
+
+
+def _affine_data(A, b):
+    """A square and finite, b finite with A's side; both as float arrays."""
+    A = _checked_square(A)
+    b = np.asarray(b, dtype=float)
+    if b.shape != (A.shape[0],):
+        raise ShapeError(f"b must have shape {(A.shape[0],)}, got {b.shape}")
+    _check_finite("b", b)
+    return A, b
 
 
 def estimate_cocoercivity(A):
@@ -218,17 +213,11 @@ class CocoerciveOp:
             raise InvalidInputError("cocoercivity constant must be positive")
 
 
-def monotone_from_prox(prox, label=""):
-    """Wrap a prox family ``prox(d, y)`` as a MonotoneOp.
-
-    The prox of a convex function g with weight d is exactly the resolvent of
-    d * subdifferential(g).
-    """
-    return MonotoneOp(resolvent=prox, label=label)
-
-
 def affine_monotone(A, b, label=""):
     """Monotone operator x -> A x + b; A must be monotone (A + A^T PSD).
+
+    A square and finite and b finite of A's side are checked (ShapeError,
+    InvalidInputError); monotonicity is assumed, not checked.
 
     The resolvent returns (I + dA)^{-1} (y - d b).  It keeps the inverse of
     I + dA for the last stepsize d it saw, so repeated calls at one d (a
@@ -237,17 +226,13 @@ def affine_monotone(A, b, label=""):
     the kept p x p inverse.  Results match np.linalg.solve to round-off
     while d ||A|| is moderate; accuracy degrades with cond(I + dA).
     """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or b.shape != (A.shape[0],):
-        raise ShapeError("A must be square and b must match its side")
+    A, b = _affine_data(A, b)
     # One (d, inverse) pair, read and replaced whole so threads stay safe.
     kept = (None, None)
 
     def resolvent(d, y):
         nonlocal kept
-        if not np.isfinite(d) or d <= 0:
-            raise InvalidInputError("stepsize must be positive and finite")
+        _check_weight(d)
         kept_d, inv = kept
         if kept_d != d:
             inv = np.linalg.inv(np.eye(A.shape[0]) + d * A)
@@ -266,18 +251,17 @@ def zero_monotone(label=""):
 def affine_cocoercive(A, b, lipschitz=None, label=""):
     """Cocoercive operator x -> A x - b for symmetric PSD A.
 
-    A must be square, finite, symmetric and PSD whether or not
-    ``lipschitz`` is given.  When omitted it is ``estimate_cocoercivity(A)``;
-    a given one may not fall short of the computed lambda_max(A) by more
-    than the round-off allowance (InvalidInputError).
+    A must be square, finite, symmetric and PSD, and b finite of A's side,
+    whether or not ``lipschitz`` is given.  When omitted it is
+    ``estimate_cocoercivity(A)``; a given one may not fall short of the
+    computed lambda_max(A) by more than the round-off allowance
+    (InvalidInputError).
     """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
+    A, b = _affine_data(A, b)
     if lipschitz is None:
         lipschitz = estimate_cocoercivity(A)
     else:
-        _, top, tol = _symmetric_psd(_checked_square(A), "A",
-                                     InvalidInputError)
+        _, top, tol = _symmetric_psd(A, "A", InvalidInputError)
         if lipschitz < top - tol:
             raise InvalidInputError(
                 f"lipschitz = {lipschitz} is below lambda_max(A) = {top!r}")

@@ -501,6 +501,17 @@ def scheme_to_json(scheme):
     }
 
 
+def _matrix(doc, key, empty_shape):
+    """doc[key] as a 2-D float array; absent or empty gives zeros."""
+    a = np.asarray(doc.get(key, []), dtype=float)
+    if not a.size:
+        return np.zeros(empty_shape)
+    if a.ndim != 2:
+        raise ShapeError(f"{key} must be a nested list of rows, "
+                         f"got shape {a.shape}")
+    return a
+
+
 def scheme_from_json(doc, lipschitz=None):
     """Build a Scheme from its dict form.
 
@@ -512,10 +523,11 @@ def scheme_from_json(doc, lipschitz=None):
     if not isinstance(doc, dict):
         raise InvalidInputError("scheme document must be a JSON object")
     if "builtin" in doc:
-        params = {}
-        for key in ("gamma", "theta", "n", "m", "scale"):
-            if key in doc:
-                params[key] = doc[key]
+        # gamma and theta are read with float, like the explicit theta
+        params = {key: float(doc[key]) for key in ("gamma", "theta")
+                  if key in doc}
+        params.update((key, doc[key]) for key in ("n", "m", "scale")
+                      if key in doc)
         if "L" in doc:
             params["lipschitz"] = doc["L"]
         return make_builtin(doc["builtin"], **params)
@@ -527,11 +539,9 @@ def scheme_from_json(doc, lipschitz=None):
     n = M.shape[0] if M.ndim == 2 else 0
     if n < 2:
         raise ShapeError("M must be a nested list with n >= 2 rows")
-    C = doc.get("C", [])
-    Q = doc.get("Q", [])
-    C = np.asarray(C, dtype=float) if np.asarray(C).size else np.zeros((n, 0))
+    C = _matrix(doc, "C", (n, 0))
     m = C.shape[1]
-    Q = np.asarray(Q, dtype=float) if np.asarray(Q).size else np.zeros((m, n))
+    Q = _matrix(doc, "Q", (m, n))
     L = doc.get("L", lipschitz)
     L = np.ones(m) if L is None else L
     if "S" in doc:

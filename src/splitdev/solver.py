@@ -53,7 +53,6 @@ __all__ = [
     "extract_solution",
     "step",
     "solve",
-    "dr_reference_step",
 ]
 
 
@@ -196,10 +195,6 @@ class Trajectory:
         lines = [",".join(self.COLUMNS)]
         lines.extend(",".join(map(_csv_field, row)) for row in rows)
         return "\n".join(lines) + "\n"
-
-    def to_csv(self, path):
-        with open(path, "w", encoding="ascii", newline="") as fh:
-            fh.write(self.to_csv_text())
 
 
 def _csv_field(value):
@@ -405,15 +400,3 @@ def solve(problem, scheme, schedule=None, policy=None, stop=None, z0=None,
             break
     return SolveResult(x=state.x[-1].copy(), trajectory=traj,
                        converged=converged, iterations=state.k, state=state)
-
-
-def dr_reference_step(z, gamma, lam, f1, f2):
-    """Textbook two-operator reference step.
-
-    x1 = J_{gamma F1}(z), x2 = J_{gamma F2}(2 x1 - z),
-    z_next = z - lam (x1 - x2).  Serves as the independent comparison point
-    for the two-resolvent scheme.
-    """
-    x1 = f1.resolvent(gamma, z)
-    x2 = f2.resolvent(gamma, 2.0 * x1 - z)
-    return x1, x2, z - lam * (x1 - x2)

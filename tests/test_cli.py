@@ -98,6 +98,54 @@ def test_validate_bad_lipschitz_exit_code(tmp_path, capsys, doc):
     assert "invalid scheme document" in captured.err
 
 
+@pytest.mark.parametrize("doc,message", [
+    ({"M": [[1], [-1]], "C": [1, 0], "Q": [1], "theta": 1},
+     "C must be a nested list of rows, got shape (2,)"),
+    ({"M": [[1], [-1]], "C": [[0], [1]], "Q": [1, 0], "theta": 1},
+     "Q must be a nested list of rows, got shape (2,)"),
+], ids=["C", "Q"])
+def test_validate_flat_forward_matrix_exit_code(tmp_path, capsys, doc,
+                                                message):
+    assert main(["validate", write_json(tmp_path, doc, "flat.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"splitdev: invalid scheme document: {message}\n"
+
+
+@pytest.mark.parametrize("theta,code", [("2", 0), ("abc", 2)])
+def test_validate_reads_string_theta_alike_in_both_documents(
+        tmp_path, capsys, theta, code):
+    docs = [{"M": [[1], [-1]], "theta": theta},
+            {"builtin": "chain_fb", "n": 3, "m": 1, "L": [1],
+             "theta": theta}]
+    for doc in docs:
+        assert main(["validate", write_json(tmp_path, doc, "t.json")]) == code
+        captured = capsys.readouterr()
+        if code == 0:
+            assert json.loads(captured.out)["theta"] == 2.0
+        else:
+            assert captured.out == ""
+            assert "could not convert string to float: 'abc'" in captured.err
+
+
+def test_validate_degenerate_diagonal_report(tmp_path, capsys):
+    # a zero S_ii is a failed check with the full report on stdout
+    doc = {"M": [[1], [-1]], "S": [[0, 0], [0, 1]], "theta": 1}
+    assert main(["validate", write_json(tmp_path, doc, "zero.json")]) == 1
+    assert capsys.readouterr().out == """{
+  "checks": [
+    {
+      "detail": "S[0,0] = 0.0 gives no positive stepsize",
+      "name": "positive_diagonal",
+      "passed": false,
+      "witness": null
+    }
+  ],
+  "passed": false
+}
+"""
+
+
 def test_solve_dr_quadratic(tmp_path):
     out = tmp_path / "out"
     cfg = run_config(tmp_path, out)

@@ -8,14 +8,13 @@ from splitdev import (
     CocoerciveOp,
     DegenerateOperatorError,
     InvalidInputError,
+    MonotoneOp,
     Problem,
     ShapeError,
     affine_cocoercive,
-    affine_gradient,
     affine_monotone,
     chain_fb,
     estimate_cocoercivity,
-    monotone_from_prox,
     project_simplex,
     prox_shifted_l1,
     prox_shifted_power32,
@@ -97,24 +96,34 @@ def test_project_simplex_matches_kkt_oracle():
         assert got.min() >= 0.0
 
 
-def test_affine_gradient_pinned_values():
+def test_affine_cocoercive_eval_pinned_values():
+    def grad(A, b, x):
+        return affine_cocoercive(A, b, lipschitz=10.0).eval(np.array(x))
+
+    np.testing.assert_allclose(grad(np.eye(2), np.zeros(2), [1.0, 2.0]),
+                               [1.0, 2.0])
+    np.testing.assert_allclose(grad(np.zeros((2, 2)), np.ones(2), [9.0, -4.0]),
+                               [-1.0, -1.0])
     np.testing.assert_allclose(
-        affine_gradient(np.eye(2), np.zeros(2), np.array([1.0, 2.0])),
-        [1.0, 2.0])
-    np.testing.assert_allclose(
-        affine_gradient(np.zeros((2, 2)), np.ones(2), np.array([9.0, -4.0])),
-        [-1.0, -1.0])
-    np.testing.assert_allclose(
-        affine_gradient(np.diag([2.0, 4.0]), np.array([1.0, 0.0]),
-                        np.array([1.0, 1.0])),
+        grad(np.diag([2.0, 4.0]), np.array([1.0, 0.0]), [1.0, 1.0]),
         [1.0, 4.0])
 
 
-def test_affine_gradient_shape_errors():
-    with pytest.raises(ShapeError):
-        affine_gradient(np.eye(2), np.zeros(3), np.zeros(2))
-    with pytest.raises(ShapeError):
-        affine_gradient(np.eye(2), np.zeros(2), np.zeros(3))
+@pytest.mark.parametrize("make", [affine_monotone, affine_cocoercive])
+@pytest.mark.parametrize("A,b,error", [
+    (np.eye(2), np.zeros(3), ShapeError),
+    (np.eye(2), np.zeros((2, 1)), ShapeError),
+    (np.zeros((2, 3)), np.zeros(2), ShapeError),
+    (np.ones(2), np.zeros(2), ShapeError),
+    (np.eye(2), np.array([0.0, np.nan]), InvalidInputError),
+    (np.eye(2), np.array([np.inf, 0.0]), InvalidInputError),
+    (np.array([[1.0, np.nan], [np.nan, 1.0]]), np.zeros(2),
+     InvalidInputError),
+])
+def test_affine_constructors_check_their_data(make, A, b, error):
+    # refused when built, not at the first resolvent or evaluation
+    with pytest.raises(error):
+        make(A, b)
 
 
 def test_estimate_cocoercivity_pinned_values():
@@ -228,10 +237,9 @@ def test_estimate_cocoercivity_keeps_the_unscaled_bits():
     assert estimate_cocoercivity(Lam) == 0.02524968213229084  # criterion 9
 
 
-def test_monotone_from_prox_resolvent_is_nonexpansive():
+def test_prox_resolvent_is_nonexpansive():
     rng = np.random.default_rng(16)
-    op = monotone_from_prox(lambda d, y: prox_shifted_l1(d, 0.0, y),
-                            label="l1")
+    op = MonotoneOp(lambda d, y: prox_shifted_l1(d, 0.0, y), label="l1")
     for _ in range(1000):
         y1 = rng.normal(size=6)
         y2 = rng.normal(size=6)
