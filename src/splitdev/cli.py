@@ -4,7 +4,7 @@ Subcommands:
 
 * ``splitdev validate scheme.json``   structural checks, JSON report on stdout
 * ``splitdev solve run.json``         one solve, trajectory CSV + summary JSON
-* ``splitdev experiment exp.json``    a (case, scheme, policy) grid of runs
+* ``splitdev experiment exp.json``    a (case, policy) grid of runs
 
 Exit codes: 0 success/converged, 1 scheme checks failed, 2 unreadable or
 invalid configuration, 3 iteration cap hit, 4 divergence, 5 every experiment
@@ -41,6 +41,7 @@ from .operators import MonotoneOp, Problem
 from .scheme import (
     CheckResult,
     ValidationReport,
+    _integer,
     _theta,
     douglas_rachford,
     scheme_from_json,
@@ -119,10 +120,9 @@ def _load_data(spec):
         return load_returns_csv(spec)
     if isinstance(spec, dict) and "synthetic" in spec:
         syn = dict(spec["synthetic"])
-        return synthetic_instance(seed=int(syn.get("seed", 0)),
-                                  days=int(syn.get("days", 200)),
-                                  assets=int(syn.get("assets", 53)),
-                                  factors=int(syn.get("factors", 3)))
+        return synthetic_instance(**{
+            key: _integer(syn.get(key, default), key) for key, default in
+            (("seed", 0), ("days", 200), ("assets", 53), ("factors", 3))})
     raise ValueError("data must be a CSV path or {'synthetic': {...}}")
 
 
@@ -153,11 +153,10 @@ def _tolerance(section, key, default):
 
 
 def _markowitz_problem(cfg, theta, schedule, ref_tol, max_iter):
-    builder = _Builder(_load_data(cfg["data"]), ["chain_fb"],
-                       float(cfg.get("delta", 6.0)), theta, schedule, ref_tol,
-                       max_iter)
-    return builder.problem(int(cfg.get("case", 1)), 0,
-                           int(cfg.get("x0_seed", 0)))
+    builder = _Builder(_load_data(cfg["data"]), float(cfg.get("delta", 6.0)),
+                       theta, schedule, ref_tol, max_iter)
+    return builder.problem(_integer(cfg.get("case", 1), "case"),
+                           _integer(cfg.get("x0_seed", 0), "x0_seed"))
 
 
 def _build_scheme(doc, problem, theta, scale):
@@ -191,13 +190,13 @@ def cmd_solve(args):
         schedule, theta = _build_schedule(cfg)
         stop_cfg = _object(cfg.get("stop"), "stop")
         stop = StopRule(tol=_tolerance(stop_cfg, "tol", 1e-8),
-                        max_iter=int(stop_cfg.get("max_iter", 10 ** 6)))
+                        max_iter=stop_cfg.get("max_iter", 10 ** 6))
         ref_tol = _tolerance(stop_cfg, "ref_tol", 1e-12)
         policy = parse_policy(cfg.get("policy", "zero"))
         problem_cfg = _object(cfg.get("problem"), "problem")
         kind = problem_cfg.get("kind")
         if kind == "markowitz":
-            problem, scheme, _ = _markowitz_problem(
+            problem, scheme = _markowitz_problem(
                 problem_cfg, theta, schedule, ref_tol, stop.max_iter)
             scale = portfolio_chain_scale(problem.dim)
         elif kind == "dr_quadratic":
@@ -262,42 +261,44 @@ def cmd_experiment(args):
         data = _load_data(cfg["data"])
         delta = _ridge_weight(float(cfg.get("delta", 6.0)))
         grid = _object(cfg.get("grid"), "grid")
-        cases = [int(c) for c in grid.get("cases", [1])]
-        schemes = list(grid.get("schemes", ["chain_fb"]))
+        cases = [_integer(c, "case") for c in grid.get("cases", [1])]
+        if grid.get("schemes", ["chain_fb"]) != ["chain_fb"]:
+            raise ValueError('grid.schemes must be ["chain_fb"] or absent')
         policies = list(grid.get("policies", ["zero"]))
         seeds_cfg = cfg.get("seeds", {"count": 50, "start": 0})
         if isinstance(seeds_cfg, dict):
-            start = int(seeds_cfg.get("start", 0))
-            seeds = list(range(start, start + int(seeds_cfg.get("count", 0))))
+            start = _integer(seeds_cfg.get("start", 0), "seeds.start")
+            seeds = list(range(start, start + _integer(
+                seeds_cfg.get("count", 0), "seeds.count")))
         else:
-            seeds = [int(s) for s in seeds_cfg]
-        if not seeds or not cases or not schemes or not policies:
+            seeds = [_integer(s, "seed") for s in seeds_cfg]
+        if not seeds or not cases or not policies:
             raise ValueError("experiment grid is empty")
         schedule, theta = _build_schedule(cfg)
         stop = StopRule(tol=_tolerance(cfg, "tol", 1e-8),
-                        max_iter=int(cfg.get("max_iter", 10 ** 6)))
+                        max_iter=cfg.get("max_iter", 10 ** 6))
         ref_tol = _tolerance(cfg, "ref_tol", 1e-12)
         policy_names = [parse_policy(policy).name for policy in policies]
         out_dir = _output_dir(cfg)
     except (SplitdevError, KeyError, OSError, TypeError, ValueError) as exc:
         return _fail(f"invalid experiment config: {exc}", EXIT_BAD_CONFIG)
 
-    outcomes = run_grid(data, cases, schemes, policies, seeds, delta=delta,
+    outcomes = run_grid(data, cases, policies, seeds, delta=delta,
                         theta=theta, schedule=schedule, tol=stop.tol,
                         ref_tol=ref_tol, max_iter=stop.max_iter)
-    cells = [(case, scheme, policy_name) for case in cases
-             for scheme in schemes for policy_name in policy_names]
+    cells = [(case, policy_name) for case in cases
+             for policy_name in policy_names]
     lines = ["case,scheme,policy,mean_iters,std_iters,n_seeds"]
     n_failed = 0
-    for (case, scheme_kind, policy_name), report in zip(cells, outcomes):
-        base = f"case{case}_{_slug(str(scheme_kind))}_{_slug(policy_name)}"
+    for (case, policy_name), report in zip(cells, outcomes):
+        base = f"case{case}_chain_fb_{_slug(policy_name)}"
         if isinstance(report, SplitdevError):
             n_failed += 1
-            lines.append(f"{case},{scheme_kind},{policy_name},,,0")
+            lines.append(f"{case},chain_fb,{policy_name},,,0")
             error = f"{type(report).__name__}: {report}"
             _write_atomic(os.path.join(out_dir, f"cell_{base}.json"),
                           _dump_json({"status": "failed", "error": error,
-                                      "case": case, "scheme": str(scheme_kind),
+                                      "case": case, "scheme": "chain_fb",
                                       "policy": policy_name}))
             continue
         summary = report.summary_dict()

@@ -39,7 +39,7 @@ from .operators import (
     estimate_cocoercivity,
     project_simplex,
 )
-from .scheme import Scheme, _theta, chain_fb
+from .scheme import _theta, chain_fb
 from .solver import ParamSchedule, StopRule, solve
 
 __all__ = [
@@ -291,18 +291,6 @@ def portfolio_chain_scale(assets):
     return 14.0 * math.sqrt(assets)
 
 
-def _scheme_for(problem, scheme_kind, theta):
-    if isinstance(scheme_kind, Scheme):
-        return scheme_kind, f"custom({scheme_kind.n}x{scheme_kind.m})"
-    if scheme_kind == "chain_fb":
-        scale = portfolio_chain_scale(problem.dim)
-        return chain_fb(problem.n, problem.m, problem.lipschitz,
-                        theta=theta, scale=scale), "chain_fb"
-    raise InvalidParameterError(
-        f"scheme kind {scheme_kind!r} cannot drive a "
-        f"{problem.n}x{problem.m} problem")
-
-
 def _reference_solution(problem, scheme, schedule, ref_tol, max_iter):
     ref = solve(problem, scheme, schedule=schedule,
                 stop=StopRule(tol=ref_tol, max_iter=max_iter))
@@ -313,16 +301,16 @@ def _reference_solution(problem, scheme, schedule, ref_tol, max_iter):
 
 
 class _Builder:
-    """Problems and references by (case, scheme index, seed), built once.
+    """Moments by case, problems and references by (case, seed), built once.
 
-    A case-2 problem starts from the case-1 reference of its scheme and seed
-    (the presolve); building a problem solves no other reference.  A build
-    or solve that raised raises the same error on every later request.
+    Every problem gets ``chain_fb`` at ``portfolio_chain_scale(p)``.  A
+    case-2 problem starts from the case-1 reference of its seed (the
+    presolve); building a problem solves no other reference.  A build or
+    solve that raised raises the same error on every later request.
     """
 
-    def __init__(self, data, schemes, delta, theta, schedule, ref_tol,
-                 max_iter):
-        self.data, self.schemes, self.schedule = data, schemes, schedule
+    def __init__(self, data, delta, theta, schedule, ref_tol, max_iter):
+        self.data, self.schedule = data, schedule
         self.delta, self.theta = _ridge_weight(delta), _theta(theta)
         self.ref_tol, self.max_iter = ref_tol, max_iter
         self._memo = {}
@@ -343,62 +331,62 @@ class _Builder:
         return self._memoized(("moments", case), lambda: estimate_moments(
             self.data if case == 1 else shift_window(self.data)))
 
-    def problem(self, case, k, seed):
-        """(problem, scheme, scheme name) of one (case, scheme, seed)."""
+    def problem(self, case, seed):
+        """(problem, scheme) of one (case, seed)."""
         def compute():
             moments = self.moments(case)  # checked before any presolve
             x0 = (sample_simplex(self.data.assets, seed) if case == 1
-                  else self.reference(1, k, seed))
+                  else self.reference(1, seed))
             problem = build_problem(MarkowitzProblem(*moments, self.delta, x0))
-            return (problem, *_scheme_for(problem, self.schemes[k],
-                                          self.theta))
-        return self._memoized(("problem", case, k, seed), compute)
+            return problem, chain_fb(
+                problem.n, problem.m, problem.lipschitz, theta=self.theta,
+                scale=portfolio_chain_scale(problem.dim))
+        return self._memoized(("problem", case, seed), compute)
 
-    def reference(self, case, k, seed):
-        """x* of one (case, scheme, seed), by a deviation-free solve."""
+    def reference(self, case, seed):
+        """x* of one (case, seed), by a deviation-free solve."""
         def compute():
-            problem, scheme, _ = self.problem(case, k, seed)
-            return _reference_solution(problem, scheme, self.schedule,
-                                       self.ref_tol, self.max_iter)
-        return self._memoized(("reference", case, k, seed), compute)
+            return _reference_solution(*self.problem(case, seed),
+                                       self.schedule, self.ref_tol,
+                                       self.max_iter)
+        return self._memoized(("reference", case, seed), compute)
 
 
-def run_grid(data, cases=(1,), schemes=("chain_fb",), policies=("zero",),
-             seeds=range(50), delta=6.0, theta=1.0, schedule=None, tol=1e-8,
-             ref_tol=1e-12, max_iter=10 ** 6):
-    """Iteration-count experiment over a (case, scheme, policy) grid.
+def run_grid(data, cases=(1,), policies=("zero",), seeds=range(50),
+             delta=6.0, theta=1.0, schedule=None, tol=1e-8, ref_tol=1e-12,
+             max_iter=10 ** 6):
+    """Iteration-count experiment over a (case, policy) grid.
 
     For every cell and seed: draw x0 uniformly on the simplex, build the
     problem on the given returns window, compute the reference solution x*
     by a deviation-free run to residual ``ref_tol``, then run the policy
     under test until ||x_n^k - x*|| < tol and record the iteration count.
-    Every solve runs under ``schedule``, by default ``ParamSchedule()``;
-    the ``chain_fb`` schemes built here take ``theta``.
+    Every solve runs under ``schedule``, by default ``ParamSchedule()``,
+    with the scheme ``chain_fb`` at ``portfolio_chain_scale(p)`` and
+    ``theta``.
 
     Case 1 prices on the window as given.  Case 2 rebalances 20 periods
-    later: the starting allocation is the Case-1 solution for the same seed
-    and scheme, and the moments are re-estimated on the shifted window.
+    later: the starting allocation is the Case-1 solution for the same
+    seed, and the moments are re-estimated on the shifted window.
 
-    References do not depend on the policy: each (case, scheme, seed)
-    reference is solved once, lazily in cell order, and shared by every
-    policy.  Returns one entry per cell, ordered by case, then scheme, then
-    policy: an ExperimentReport, or the SplitdevError the cell raised.  A
-    delta that is not finite and positive raises InvalidParameterError,
-    and such a theta InvalidInputError, before any cell runs.
+    References do not depend on the policy: each (case, seed) reference is
+    solved once, lazily in cell order, and shared by every policy.  Returns
+    one entry per cell, ordered by case, then policy: an ExperimentReport,
+    or the SplitdevError the cell raised.  A delta that is not finite and
+    positive raises InvalidParameterError, and such a theta
+    InvalidInputError, before any cell runs.
     """
-    cases, schemes, policies, seeds = map(list, (cases, schemes, policies,
-                                                 seeds))
+    cases, policies, seeds = map(list, (cases, policies, seeds))
     schedule = schedule if schedule is not None else ParamSchedule()
-    builder = _Builder(data, schemes, delta, theta, schedule, ref_tol,
-                       max_iter)
+    builder = _Builder(data, delta, theta, schedule, ref_tol, max_iter)
 
-    def run_cell(case, k, policy):
+    def run_cell(case, policy):
         if not seeds:
             raise InvalidParameterError("need at least one seed")
         records = []
         for seed in seeds:
-            problem, scheme, scheme_name = builder.problem(case, k, seed)
-            x_ref = builder.reference(case, k, seed)
+            problem, scheme = builder.problem(case, seed)
+            x_ref = builder.reference(case, seed)
             run = solve(problem, scheme, schedule=schedule,
                         policy=parse_policy(policy),
                         stop=StopRule(tol=tol, max_iter=max_iter,
@@ -407,27 +395,26 @@ def run_grid(data, cases=(1,), schemes=("chain_fb",), policies=("zero",),
                 seed=seed, iterations=run.iterations, converged=run.converged,
                 final_error=float(np.linalg.norm(run.x - x_ref)),
                 trajectory=run.trajectory))
-        return ExperimentReport(scheme=scheme_name,
+        return ExperimentReport(scheme="chain_fb",
                                 policy=parse_policy(policy).name, case=case,
                                 tol=tol, records=records)
 
     outcomes = []
     for case in cases:
-        for k in range(len(schemes)):
-            for policy in policies:
-                try:
-                    outcomes.append(run_cell(case, k, policy))
-                except SplitdevError as exc:
-                    outcomes.append(exc)
+        for policy in policies:
+            try:
+                outcomes.append(run_cell(case, policy))
+            except SplitdevError as exc:
+                outcomes.append(exc)
     return outcomes
 
 
-def run_experiment(data, scheme_kind="chain_fb", policy="zero", case=1,
-                   seeds=range(50), delta=6.0, theta=1.0, schedule=None,
-                   tol=1e-8, ref_tol=1e-12, max_iter=10 ** 6):
+def run_experiment(data, policy="zero", case=1, seeds=range(50), delta=6.0,
+                   theta=1.0, schedule=None, tol=1e-8, ref_tol=1e-12,
+                   max_iter=10 ** 6):
     """One cell of ``run_grid``: the report, or the cell's error raised."""
-    [outcome] = run_grid(data, [case], [scheme_kind], [policy], seeds,
-                         delta=delta, theta=theta, schedule=schedule, tol=tol,
+    [outcome] = run_grid(data, [case], [policy], seeds, delta=delta,
+                         theta=theta, schedule=schedule, tol=tol,
                          ref_tol=ref_tol, max_iter=max_iter)
     if isinstance(outcome, SplitdevError):
         raise outcome

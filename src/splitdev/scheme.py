@@ -219,6 +219,15 @@ def _theta(theta):
     return float(theta)
 
 
+def _integer(value, name):
+    """value as an int; InvalidInputError unless float(value) is integral."""
+    if isinstance(value, (int, np.integer)):
+        return int(value)  # exact, however large
+    if not float(value).is_integer():
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    return int(float(value))
+
+
 def _cocoercivity_constants(lipschitz, m):
     """The m constants L_j as an (m,) float array, each finite and positive."""
     L = np.asarray(lipschitz, dtype=float)
@@ -229,11 +238,12 @@ def _cocoercivity_constants(lipschitz, m):
     return L
 
 
-def _coupling_quadratic(C, Q, lipschitz):
-    # (C^T - Q)^T diag(L) (C^T - Q), the forward-coupling penalty.
+def _metric_terms(M, C, Q, lipschitz, theta):
+    """M M^T and K = (1/2)(1 + 1/theta) (C^T - Q)^T diag(L) (C^T - Q)."""
     T = C.T - Q  # (m, n)
     L = np.asarray(lipschitz, dtype=float)
-    return T.T @ (L[:, None] * T) if T.size else np.zeros((C.shape[0],) * 2)
+    K = T.T @ (L[:, None] * T) if T.size else np.zeros((C.shape[0],) * 2)
+    return M @ M.T, 0.5 * (1.0 + 1.0 / theta) * K
 
 
 def check_psd_condition(S, M, C, Q, lipschitz, theta):
@@ -252,9 +262,7 @@ def check_psd_condition(S, M, C, Q, lipschitz, theta):
     direction e^T S e) to vanish, to within 1e-10 (1 + ||S||_2).
     """
     S = np.asarray(S, dtype=float)
-    M = np.asarray(M, dtype=float)
-    MMt = M @ M.T
-    K = 0.5 * (1.0 + 1.0 / theta) * _coupling_quadratic(C, Q, lipschitz)
+    MMt, K = _metric_terms(np.asarray(M, dtype=float), C, Q, lipschitz, theta)
     G = S - MMt - K
     G = 0.5 * (G + G.T)
     lam_min = float(np.linalg.eigvalsh(G)[0])
@@ -284,8 +292,8 @@ def build_default_S(M, C, Q, lipschitz, theta):
     C = np.asarray(C, dtype=float)
     Q = np.asarray(Q, dtype=float)
     L = _cocoercivity_constants(lipschitz, C.shape[1])
-    theta = _theta(theta)
-    S = M @ M.T + 0.5 * (1.0 + 1.0 / theta) * _coupling_quadratic(C, Q, L)
+    MMt, K = _metric_terms(M, C, Q, L, _theta(theta))
+    S = MMt + K
     S = 0.5 * (S + S.T)
     if np.any(np.diag(S) <= 1e-12):
         i = int(np.argmin(np.diag(S)))
@@ -417,8 +425,8 @@ def douglas_rachford(gamma, theta=1.0):
 def davis_yin(gamma, theta=1.0, lipschitz=(1.0,)):
     """Three-operator scheme (two resolvents, one forward map).
 
-    The coupling strength a in M = a [1; -1] is chosen so that the stepsize
-    comes out as d_1 = d_2 = gamma, which requires
+    It is chain_fb(2, 1) at the coupling strength a in M = a [1; -1] that
+    makes the stepsizes d_1 = d_2 = gamma, which requires
     gamma < 4 / ((1 + 1/theta) L_1).
     """
     if not np.isfinite(gamma) or gamma <= 0:
@@ -429,12 +437,7 @@ def davis_yin(gamma, theta=1.0, lipschitz=(1.0,)):
     if a2 <= 0:
         raise DegenerateStepsizeError(
             f"gamma = {gamma} too large for L_1 = {L1}: no positive coupling")
-    a = np.sqrt(a2)
-    M = np.array([[a], [-a]])
-    C = np.array([[0.0], [1.0]])
-    Q = np.array([[1.0, 0.0]])
-    S = build_default_S(M, C, Q, [L1], theta)
-    return Scheme(M, S, C, Q, theta)
+    return chain_fb(2, 1, [L1], theta, scale=np.sqrt(a2))
 
 
 def chain_fb(n, m, lipschitz=(), theta=1.0, scale=1.0):
@@ -450,8 +453,8 @@ def chain_fb(n, m, lipschitz=(), theta=1.0, scale=1.0):
     it shortens the resolvent steps d_i and is often much faster when the
     resolvents are cheap kinks and the smooth parts carry the curvature.
     """
-    n = int(n)
-    m = int(m)
+    n = _integer(n, "n")
+    m = _integer(m, "m")
     if n < 2:
         raise InvalidInputError("need n >= 2")
     if not 0 <= m <= n - 1:

@@ -40,7 +40,7 @@ from .exceptions import (
     SchemeValidationError,
     ShapeError,
 )
-from .scheme import validate
+from .scheme import _integer, validate
 
 __all__ = [
     "ParamSchedule",
@@ -125,8 +125,9 @@ class StopRule:
 
     With a reference point the loop stops when ||x_n^k - reference|| < tol,
     otherwise when the fixed-point residual drops to tol.  Residuals above
-    divergence_limit abort with DivergenceError.  max_iter must be >= 1,
-    tol must not be NaN (tol <= 0 runs exactly max_iter steps) and
+    divergence_limit abort with DivergenceError.  max_iter must be an
+    integer >= 1 (an integral float such as 1e6 is taken as that int), tol
+    must not be NaN (tol <= 0 runs exactly max_iter steps) and
     divergence_limit must be positive.
     """
 
@@ -136,6 +137,7 @@ class StopRule:
     divergence_limit: float = 1e12
 
     def __post_init__(self):
+        self.max_iter = _integer(self.max_iter, "max_iter")
         if self.max_iter < 1:
             raise InvalidInputError("max_iter must be at least 1")
         if math.isnan(self.tol):

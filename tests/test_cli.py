@@ -112,6 +112,14 @@ def test_validate_flat_forward_matrix_exit_code(tmp_path, capsys, doc,
     assert captured.err == f"splitdev: invalid scheme document: {message}\n"
 
 
+def test_validate_fractional_size_exit_code(tmp_path, capsys):
+    doc = {"builtin": "chain_fb", "n": 3, "m": 1.5, "L": [1]}
+    assert main(["validate", write_json(tmp_path, doc, "m.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "m must be an integer, got 1.5" in captured.err
+
+
 @pytest.mark.parametrize("theta,code", [("2", 0), ("abc", 2)])
 def test_validate_reads_string_theta_alike_in_both_documents(
         tmp_path, capsys, theta, code):
@@ -480,6 +488,78 @@ def test_solve_infinite_tolerance_exit_code(tmp_path, monkeypatch, capsys,
     assert "tol must not be NaN or infinite" in capsys.readouterr().err
     assert calls == []
     assert not out.exists()
+
+
+FRACTIONAL_INTEGERS = [
+    ("solve", ("stop", "max_iter"), 3.7),
+    ("solve", ("problem", "case"), 1.5),
+    ("solve", ("problem", "x0_seed"), 1.5),
+    ("solve", ("problem", "data", "synthetic", "assets"), 5.9),
+    ("experiment", ("max_iter",), 3.7),
+    ("experiment", ("grid", "cases"), [1.5]),
+    ("experiment", ("seeds", "start"), 0.5),
+    ("experiment", ("seeds", "count"), 1.9),
+    ("experiment", ("seeds",), [0, 1.5]),
+    ("experiment", ("data", "synthetic", "seed"), 0.5),
+    ("experiment", ("data", "synthetic", "days"), 60.5),
+    ("experiment", ("data", "synthetic", "assets"), 5.9),
+    ("experiment", ("data", "synthetic", "factors"), 2.5),
+]
+
+
+@pytest.mark.parametrize(
+    "command,path,value", FRACTIONAL_INTEGERS,
+    ids=[f"{command}-{'.'.join(path)}"
+         for command, path, _ in FRACTIONAL_INTEGERS])
+def test_fractional_integer_exit_code_before_any_solve(
+        tmp_path, monkeypatch, capsys, command, path, value):
+    calls = count_solves(monkeypatch)
+    out = tmp_path / "out"
+    if command == "solve":  # case 2 would presolve before anything else
+        cfg_path = markowitz_run(tmp_path, out, 2, {"tol": 1e-8})
+    else:
+        cfg_path = experiment_config(tmp_path, out)
+    with open(cfg_path, encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    *parents, key = path
+    section = cfg
+    for name in parents:
+        section = section[name]
+    section[key] = value
+    assert main([command, write_json(tmp_path, cfg, "frac.json")]) == 2
+    assert "must be an integer, got" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("schemes", [
+    ["dr"], [{"builtin": "chain_fb"}], ["chain_fb", "chain_fb"]])
+def test_experiment_refuses_schemes_other_than_chain_fb(
+        tmp_path, monkeypatch, capsys, schemes):
+    calls = count_solves(monkeypatch)
+    out = tmp_path / "out"
+    cfg = experiment_config(tmp_path, out,
+                            grid={"cases": [1], "schemes": schemes,
+                                  "policies": ["zero"]})
+    assert main(["experiment", cfg]) == 2
+    assert 'grid.schemes must be ["chain_fb"]' in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
+def test_experiment_without_schemes_writes_the_same_files(tmp_path):
+    written = []
+    for name, grid in (("given", {"cases": [1], "schemes": ["chain_fb"]}),
+                       ("absent", {"cases": [1]})):
+        out = tmp_path / name
+        cfg = experiment_config(tmp_path, out, grid=grid,
+                                seeds={"count": 1, "start": 0})
+        assert main(["experiment", cfg]) == 0
+        written.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert written[0] == written[1]
+    assert sorted(written[0]) == ["cell_case1_chain_fb_zero.json",
+                                  "experiment_summary.csv",
+                                  "traj_case1_chain_fb_zero_seed0.csv"]
 
 
 def _strict_json(text):

@@ -165,6 +165,36 @@ def test_davis_yin_structure():
     assert sc.d[0] == pytest.approx(1.0)  # a is chosen so d_1 = gamma
 
 
+def test_davis_yin_is_chain_fb_at_its_coupling_strength():
+    # the hand-built three-operator scheme, bit for bit
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        gamma, theta, L1 = rng.uniform(0.05, 1.5, size=3)
+        a2 = 2.0 / gamma - 0.5 * (1.0 + 1.0 / theta) * L1
+        if a2 <= 0:
+            with pytest.raises(DegenerateStepsizeError, match="too large"):
+                davis_yin(gamma, theta, [L1])
+            continue
+        a = np.sqrt(a2)
+        M = np.array([[a], [-a]])
+        C = np.array([[0.0], [1.0]])
+        Q = np.array([[1.0, 0.0]])
+        want = Scheme(M, build_default_S(M, C, Q, [L1], theta), C, Q, theta)
+        got = davis_yin(gamma, theta, [L1])
+        for name in ("M", "S", "C", "Q", "d"):
+            assert getattr(got, name).tobytes() == \
+                getattr(want, name).tobytes()
+
+
+def test_chain_fb_sizes_are_integers():
+    sc = chain_fb(3.0, 1e0, [1.0])  # integral floats are those ints
+    assert (sc.n, sc.m) == (3, 1)
+    with pytest.raises(InvalidInputError, match="m must be an integer"):
+        chain_fb(3, 1.5, [1.0])
+    with pytest.raises(InvalidInputError, match="n must be an integer"):
+        chain_fb(2.7, 1, [1.0])
+
+
 def test_chain_fb_structure_and_staircase():
     sc = chain_fb(3, 2, (1.0, 1.0))
     assert tuple(find_staircase_vector(sc.C, sc.Q)) == (0, 1, 2)

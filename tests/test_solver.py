@@ -162,6 +162,15 @@ def test_stop_rule_rejects_max_iter_below_one():
         solve(quadratic_pair(), douglas_rachford(gamma=1.0), stop=stop)
 
 
+def test_stop_rule_reads_max_iter_as_an_integer():
+    stop = StopRule(tol=-1.0, max_iter=1e3)  # an integral float is that int
+    assert stop.max_iter == 1000 and type(stop.max_iter) is int
+    res = solve(quadratic_pair(), douglas_rachford(gamma=1.0), stop=stop)
+    assert res.iterations == 1000
+    with pytest.raises(InvalidInputError, match="max_iter must be an integer"):
+        StopRule(max_iter=2.5)
+
+
 def test_stop_rule_rejects_nan_tolerances():
     with pytest.raises(InvalidInputError, match="tol"):
         StopRule(tol=math.nan)
