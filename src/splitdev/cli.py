@@ -6,10 +6,11 @@ Subcommands:
 * ``splitdev solve run.json``         one solve, trajectory CSV + summary JSON
 * ``splitdev experiment exp.json``    a (case, policy) grid of runs
 
-Exit codes: 0 success/converged, 1 scheme checks failed, 2 unreadable or
-invalid configuration, 3 iteration cap hit, 4 divergence, 5 every experiment
-cell failed.  All files are written atomically (temp file plus rename) and
-repeated runs of the same configuration produce byte-identical outputs.
+Exit codes, which ``main`` alone assigns: 0 success/converged, 1 scheme
+checks failed, 2 unreadable or invalid configuration or unwritable output,
+3 iteration cap hit, 4 divergence, 5 every experiment cell failed.  All
+files are written atomically (temp file plus rename) and repeated runs of
+the same configuration produce byte-identical outputs.
 """
 
 import argparse
@@ -76,34 +77,15 @@ def _dump_json(obj):
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _read_config(path):
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def _fail(msg, code):
     print(f"splitdev: {msg}", file=sys.stderr)
     return code
 
 
-def cmd_validate(args):
-    try:
-        doc = _read_config(args.config)
-    except (OSError, json.JSONDecodeError) as exc:
-        return _fail(f"cannot read scheme document: {exc}", EXIT_BAD_CONFIG)
-    try:
-        scheme = scheme_from_json(doc)
-        report = validate(scheme, doc.get("L"))
-    except DegenerateStepsizeError as exc:
-        # Degenerate stepsizes are a failed check, not a malformed document.
-        scheme = None
-        report = ValidationReport(
-            [CheckResult("positive_diagonal", False, str(exc))])
-    except (SplitdevError, KeyError, TypeError, ValueError) as exc:
-        return _fail(f"invalid scheme document: {exc}", EXIT_BAD_CONFIG)
-    out = report.to_dict()
-    if scheme is not None:
-        out.update(n=scheme.n, m=scheme.m, theta=scheme.theta)
+def cmd_validate(doc):
+    scheme = scheme_from_json(doc)
+    report = validate(scheme, doc.get("L"))
+    out = dict(report.to_dict(), n=scheme.n, m=scheme.m, theta=scheme.theta)
     print(_dump_json(out), end="")
     return EXIT_OK if report.passed else EXIT_CHECKS_FAILED
 
@@ -152,11 +134,17 @@ def _tolerance(section, key, default):
     return value
 
 
-def _markowitz_problem(cfg, theta, schedule, ref_tol, max_iter):
-    builder = _Builder(_load_data(cfg["data"]), float(cfg.get("delta", 6.0)),
-                       theta, schedule, ref_tol, max_iter)
-    return builder.problem(_integer(cfg.get("case", 1), "case"),
-                           _integer(cfg.get("x0_seed", 0), "x0_seed"))
+def _stop(section):
+    """The StopRule and the reference tolerance: tol, max_iter, ref_tol."""
+    stop = StopRule(tol=_tolerance(section, "tol", 1e-8),
+                    max_iter=section.get("max_iter", 10 ** 6))
+    return stop, _tolerance(section, "ref_tol", 1e-12)
+
+
+def _data(section):
+    """The returns panel and the ridge weight: data, delta."""
+    return (_load_data(section["data"]),
+            _ridge_weight(float(section.get("delta", 6.0))))
 
 
 def _build_scheme(doc, problem, theta, scale):
@@ -180,56 +168,42 @@ def _build_schedule(cfg):
     return schedule, _theta(float(cfg.get("theta", 1.0)))
 
 
-def cmd_solve(args):
-    try:
-        cfg = _read_config(args.config)
-    except (OSError, json.JSONDecodeError) as exc:
-        return _fail(f"cannot read run config: {exc}", EXIT_BAD_CONFIG)
-    try:
-        cfg = _object(cfg, "run config")
-        schedule, theta = _build_schedule(cfg)
-        stop_cfg = _object(cfg.get("stop"), "stop")
-        stop = StopRule(tol=_tolerance(stop_cfg, "tol", 1e-8),
-                        max_iter=stop_cfg.get("max_iter", 10 ** 6))
-        ref_tol = _tolerance(stop_cfg, "ref_tol", 1e-12)
-        policy = parse_policy(cfg.get("policy", "zero"))
-        problem_cfg = _object(cfg.get("problem"), "problem")
-        kind = problem_cfg.get("kind")
-        if kind == "markowitz":
-            problem, scheme = _markowitz_problem(
-                problem_cfg, theta, schedule, ref_tol, stop.max_iter)
-            scale = portfolio_chain_scale(problem.dim)
-        elif kind == "dr_quadratic":
-            problem = _dr_quadratic_problem()
-            scheme, scale = douglas_rachford(1.0, theta=theta), 1.0
-        else:
-            raise ValueError(f"unknown problem kind {kind!r}")
-        if cfg.get("scheme") is not None:
-            scheme = _build_scheme(cfg["scheme"], problem, theta, scale)
-        if stop_cfg.get("reference") == "auto":
-            stop.reference = _reference_solution(problem, scheme, schedule,
-                                                 ref_tol, stop.max_iter)
-        out_dir = _output_dir(cfg)
-    except SchemeValidationError as exc:
-        return _fail(str(exc), EXIT_CHECKS_FAILED)
-    except OracleFailureError as exc:
-        return _fail(str(exc), EXIT_MAX_ITER)
-    except DivergenceError as exc:
-        return _fail(str(exc), EXIT_DIVERGED)
-    except (SplitdevError, KeyError, OSError, TypeError, ValueError) as exc:
-        return _fail(f"invalid run config: {exc}", EXIT_BAD_CONFIG)
+def cmd_solve(cfg):
+    cfg = _object(cfg, "run config")
+    schedule, theta = _build_schedule(cfg)
+    stop_cfg = _object(cfg.get("stop"), "stop")
+    stop, ref_tol = _stop(stop_cfg)
+    policy = parse_policy(cfg.get("policy", "zero"))
+    problem_cfg = _object(cfg.get("problem"), "problem")
+    kind = problem_cfg.get("kind")
+    if kind == "markowitz":
+        builder = _Builder(*_data(problem_cfg), theta, schedule, ref_tol,
+                           stop.max_iter)
+        problem, scheme = builder.problem(
+            _integer(problem_cfg.get("case", 1), "case"),
+            _integer(problem_cfg.get("x0_seed", 0), "x0_seed"))
+        scale = portfolio_chain_scale(problem.dim)
+    elif kind == "dr_quadratic":
+        problem = _dr_quadratic_problem()
+        scheme, scale = douglas_rachford(1.0, theta=theta), 1.0
+    else:
+        raise ValueError(f"unknown problem kind {kind!r}")
+    if cfg.get("scheme") is not None:
+        scheme = _build_scheme(cfg["scheme"], problem, theta, scale)
+    if stop_cfg.get("reference") == "auto":
+        stop.reference = _reference_solution(problem, scheme, schedule,
+                                             ref_tol, stop.max_iter)
+    out_dir = _output_dir(cfg)
 
     summary = {"problem": kind, "policy": policy.name, "tol": stop.tol}
     try:
         result = solve(problem, scheme, schedule=schedule, policy=policy,
                        stop=stop)
-    except SchemeValidationError as exc:
-        return _fail(str(exc), EXIT_CHECKS_FAILED)
     except DivergenceError as exc:
         summary.update(status="diverged", error=str(exc))
         _write_atomic(os.path.join(out_dir, "summary.json"),
                       _dump_json(summary))
-        return _fail(str(exc), EXIT_DIVERGED)
+        raise
 
     traj = result.trajectory
     summary.update(
@@ -251,37 +225,28 @@ def _slug(text):
     return "".join(ch if ch.isalnum() or ch in "._-" else "-" for ch in text)
 
 
-def cmd_experiment(args):
-    try:
-        cfg = _read_config(args.config)
-    except (OSError, json.JSONDecodeError) as exc:
-        return _fail(f"cannot read experiment config: {exc}", EXIT_BAD_CONFIG)
-    try:
-        cfg = _object(cfg, "experiment config")
-        data = _load_data(cfg["data"])
-        delta = _ridge_weight(float(cfg.get("delta", 6.0)))
-        grid = _object(cfg.get("grid"), "grid")
-        cases = [_integer(c, "case") for c in grid.get("cases", [1])]
-        if grid.get("schemes", ["chain_fb"]) != ["chain_fb"]:
-            raise ValueError('grid.schemes must be ["chain_fb"] or absent')
-        policies = list(grid.get("policies", ["zero"]))
-        seeds_cfg = cfg.get("seeds", {"count": 50, "start": 0})
-        if isinstance(seeds_cfg, dict):
-            start = _integer(seeds_cfg.get("start", 0), "seeds.start")
-            seeds = list(range(start, start + _integer(
-                seeds_cfg.get("count", 0), "seeds.count")))
-        else:
-            seeds = [_integer(s, "seed") for s in seeds_cfg]
-        if not seeds or not cases or not policies:
-            raise ValueError("experiment grid is empty")
-        schedule, theta = _build_schedule(cfg)
-        stop = StopRule(tol=_tolerance(cfg, "tol", 1e-8),
-                        max_iter=cfg.get("max_iter", 10 ** 6))
-        ref_tol = _tolerance(cfg, "ref_tol", 1e-12)
-        policy_names = [parse_policy(policy).name for policy in policies]
-        out_dir = _output_dir(cfg)
-    except (SplitdevError, KeyError, OSError, TypeError, ValueError) as exc:
-        return _fail(f"invalid experiment config: {exc}", EXIT_BAD_CONFIG)
+def cmd_experiment(cfg):
+    cfg = _object(cfg, "experiment config")
+    data, delta = _data(cfg)
+    grid = _object(cfg.get("grid"), "grid")
+    cases = [_integer(c, "case") for c in grid.get("cases", [1])]
+    if grid.get("schemes", ["chain_fb"]) != ["chain_fb"]:
+        raise ValueError('grid.schemes must be ["chain_fb"] or absent')
+    policies = list(grid.get("policies", ["zero"]))
+    seeds_cfg = cfg.get("seeds")
+    if seeds_cfg is None or isinstance(seeds_cfg, dict):
+        seeds_cfg = seeds_cfg or {}
+        start = _integer(seeds_cfg.get("start", 0), "seeds.start")
+        seeds = list(range(start, start + _integer(
+            seeds_cfg.get("count", 50), "seeds.count")))
+    else:
+        seeds = [_integer(s, "seed") for s in seeds_cfg]
+    if not seeds or not cases or not policies:
+        raise ValueError("experiment grid is empty")
+    schedule, theta = _build_schedule(cfg)
+    stop, ref_tol = _stop(cfg)
+    policy_names = [parse_policy(policy).name for policy in policies]
+    out_dir = _output_dir(cfg)
 
     outcomes = run_grid(data, cases, policies, seeds, delta=delta,
                         theta=theta, schedule=schedule, tol=stop.tol,
@@ -322,6 +287,12 @@ def cmd_experiment(args):
     return EXIT_OK
 
 
+# The exit code of each error that is not a bad configuration.
+_EXIT_CODES = ((SchemeValidationError, EXIT_CHECKS_FAILED),
+               (OracleFailureError, EXIT_MAX_ITER),
+               (DivergenceError, EXIT_DIVERGED))
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="splitdev",
@@ -329,15 +300,32 @@ def main(argv=None):
     sub = parser.add_subparsers(dest="command", required=True)
     p_val = sub.add_parser("validate", help="check a scheme document")
     p_val.add_argument("config")
-    p_val.set_defaults(func=cmd_validate)
+    p_val.set_defaults(func=cmd_validate, what="scheme document")
     p_solve = sub.add_parser("solve", help="run a single solve")
     p_solve.add_argument("config")
-    p_solve.set_defaults(func=cmd_solve)
+    p_solve.set_defaults(func=cmd_solve, what="run config")
     p_exp = sub.add_parser("experiment", help="run an experiment grid")
     p_exp.add_argument("config")
-    p_exp.set_defaults(func=cmd_experiment)
+    p_exp.set_defaults(func=cmd_experiment, what="experiment config")
     args = parser.parse_args(argv)
-    return args.func(args)
+    phase = "cannot read"
+    try:
+        with open(args.config, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        phase = "invalid"
+        return args.func(doc)
+    except (SplitdevError, KeyError, OSError, TypeError, ValueError) as exc:
+        if args.command == "validate" and isinstance(
+                exc, DegenerateStepsizeError):
+            # a degenerate stepsize is a failed check, not a bad document
+            report = ValidationReport(
+                [CheckResult("positive_diagonal", False, str(exc))])
+            print(_dump_json(report.to_dict()), end="")
+            return EXIT_CHECKS_FAILED
+        for kind, code in _EXIT_CODES:
+            if isinstance(exc, kind):
+                return _fail(exc, code)
+        return _fail(f"{phase} {args.what}: {exc}", EXIT_BAD_CONFIG)
 
 
 if __name__ == "__main__":

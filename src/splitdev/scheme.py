@@ -219,11 +219,22 @@ def _theta(theta):
     return float(theta)
 
 
+def _gamma(gamma):
+    """gamma as a float; InvalidInputError unless positive with 2/gamma finite."""
+    if not np.isfinite(gamma) or gamma <= 0:
+        raise InvalidInputError("gamma must be positive")
+    gamma = float(gamma)
+    if not np.isfinite(2.0 / gamma):
+        raise InvalidInputError(f"gamma = {gamma!r} is so small that 2/gamma "
+                                "overflows")
+    return gamma
+
+
 def _integer(value, name):
-    """value as an int; InvalidInputError unless float(value) is integral."""
-    if isinstance(value, (int, np.integer)):
+    """value as an int; InvalidInputError for a bool or a non-integral value."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return int(value)  # exact, however large
-    if not float(value).is_integer():
+    if isinstance(value, (bool, np.bool_)) or not float(value).is_integer():
         raise InvalidInputError(f"{name} must be an integer, got {value!r}")
     return int(float(value))
 
@@ -414,8 +425,7 @@ def validate(scheme, lipschitz=None):
 
 def douglas_rachford(gamma, theta=1.0):
     """Two-resolvent scheme equivalent to Douglas-Rachford with prox weight gamma."""
-    if not np.isfinite(gamma) or gamma <= 0:
-        raise InvalidInputError("gamma must be positive")
+    gamma = _gamma(gamma)
     a = np.sqrt(2.0 / gamma)
     M = np.array([[a], [-a]])
     S = (2.0 / gamma) * np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -429,8 +439,7 @@ def davis_yin(gamma, theta=1.0, lipschitz=(1.0,)):
     makes the stepsizes d_1 = d_2 = gamma, which requires
     gamma < 4 / ((1 + 1/theta) L_1).
     """
-    if not np.isfinite(gamma) or gamma <= 0:
-        raise InvalidInputError("gamma must be positive")
+    gamma = _gamma(gamma)
     theta = _theta(theta)
     L1 = float(_cocoercivity_constants(np.ravel(lipschitz), 1)[0])
     a2 = 2.0 / gamma - 0.5 * (1.0 + 1.0 / theta) * L1

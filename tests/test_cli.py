@@ -1,6 +1,10 @@
 """Command line front end: exit codes, artifacts, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from splitdev import (
 )
 from splitdev import cli, markowitz
 from splitdev.cli import main
+from splitdev.exceptions import DivergenceError
 
 
 def write_json(tmp_path, doc, name):
@@ -193,6 +198,74 @@ def test_solve_bad_config_exit_code(tmp_path):
     assert main(["solve", cfg]) == 2
 
 
+def test_solve_divergence_writes_its_summary(tmp_path, monkeypatch, capsys):
+    def diverging_solve(*args, **kwargs):
+        raise DivergenceError("residual 1e13 above divergence_limit")
+
+    monkeypatch.setattr(cli, "solve", diverging_solve)
+    out = tmp_path / "out"
+    assert main(["solve", run_config(tmp_path, out)]) == 4
+    assert capsys.readouterr().err == \
+        "splitdev: residual 1e13 above divergence_limit\n"
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "diverged"
+    assert summary["error"] == "residual 1e13 above divergence_limit"
+    assert not (out / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("command,blocked,what", [
+    ("solve", "trajectory.csv", "run config"),
+    ("experiment", "experiment_summary.csv", "experiment config")])
+def test_unwritable_output_file_exit_code(tmp_path, capsys, command,
+                                          blocked, what):
+    # an output path taken by a directory cannot be replaced by a file
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    if command == "solve":
+        cfg = run_config(tmp_path, out)
+    else:
+        cfg = experiment_config(tmp_path, out, seeds=[0], tol=1e-4,
+                                ref_tol=1e-8,
+                                grid={"cases": [1], "policies": ["zero"]})
+    assert main([command, cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"splitdev: invalid {what}: [Errno 21] Is a dir")
+    assert blocked in err
+    assert (out / blocked).is_dir()
+    assert not [p for p in out.iterdir() if p.name.startswith(".splitdev-")]
+
+
+def test_entry_point_exit_codes_without_traceback(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "splitdev.cli", *args], env=env,
+            capture_output=True, text=True, timeout=120)
+
+    doc = {"builtin": "douglas_rachford", "gamma": 1.0}
+    passed = run("validate", write_json(tmp_path, doc, "dr.json"))
+    assert passed.returncode == 0
+    assert json.loads(passed.stdout)["passed"] is True
+    out = tmp_path / "out"
+    (out / "trajectory.csv").mkdir(parents=True)
+    failed = run("solve", run_config(tmp_path, out))
+    assert failed.returncode == 2
+    assert "Is a directory" in failed.stderr
+    assert "Traceback" not in failed.stderr
+
+
+def test_validate_gamma_whose_inverse_overflows_exit_code(tmp_path, capsys):
+    doc = {"builtin": "davis_yin", "gamma": 1e-320}
+    assert main(["validate", write_json(tmp_path, doc, "tiny.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("splitdev: invalid scheme document: gamma = "
+                            "1e-320 is so small that 2/gamma overflows\n")
+
+
 def test_solve_markowitz_with_reference(tmp_path):
     out = tmp_path / "out"
     cfg = run_config(
@@ -252,6 +325,27 @@ def test_experiment_empty_seed_list_rejected(tmp_path):
     out = tmp_path / "out"
     cfg = experiment_config(tmp_path, out, seeds={"count": 0})
     assert main(["experiment", cfg]) == 2
+
+
+@pytest.mark.parametrize("seeds,start", [
+    ("absent", 0), (None, 0), ({}, 0), ({"start": 3}, 3)],
+    ids=["absent", "null", "empty", "start"])
+def test_experiment_seeds_default_to_fifty(tmp_path, monkeypatch, seeds,
+                                           start):
+    # tolerances so loose that every reference and run stops after one step
+    calls = count_solves(monkeypatch)
+    out = tmp_path / "out"
+    cfg = json.loads(Path(experiment_config(
+        tmp_path, out, grid={"cases": [1], "policies": ["zero"]},
+        tol=1e3, ref_tol=1e3, max_iter=1)).read_text())
+    if seeds == "absent":
+        del cfg["seeds"]
+    else:
+        cfg["seeds"] = seeds
+    assert main(["experiment", write_json(tmp_path, cfg, "seeds.json")]) == 0
+    assert len(calls) == 100  # a reference and a run per seed
+    cell = json.loads((out / "cell_case1_chain_fb_zero.json").read_text())
+    assert cell["seeds"] == list(range(start, start + 50))
 
 
 def test_experiment_deterministic(tmp_path):
@@ -507,10 +601,24 @@ FRACTIONAL_INTEGERS = [
 ]
 
 
+BOOLEAN_INTEGERS = [
+    ("solve", ("stop", "max_iter"), True),
+    ("solve", ("problem", "x0_seed"), False),
+    ("experiment", ("seeds", "count"), True),
+    ("experiment", ("seeds",), [0, True]),
+    ("experiment", ("grid", "cases"), [True]),
+]
+
+
+def integer_key_ids(cases, suffix=""):
+    return [f"{command}-{'.'.join(path)}{suffix}"
+            for command, path, _ in cases]
+
+
 @pytest.mark.parametrize(
-    "command,path,value", FRACTIONAL_INTEGERS,
-    ids=[f"{command}-{'.'.join(path)}"
-         for command, path, _ in FRACTIONAL_INTEGERS])
+    "command,path,value", FRACTIONAL_INTEGERS + BOOLEAN_INTEGERS,
+    ids=integer_key_ids(FRACTIONAL_INTEGERS)
+    + integer_key_ids(BOOLEAN_INTEGERS, "-bool"))
 def test_fractional_integer_exit_code_before_any_solve(
         tmp_path, monkeypatch, capsys, command, path, value):
     calls = count_solves(monkeypatch)

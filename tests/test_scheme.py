@@ -193,6 +193,9 @@ def test_chain_fb_sizes_are_integers():
         chain_fb(3, 1.5, [1.0])
     with pytest.raises(InvalidInputError, match="n must be an integer"):
         chain_fb(2.7, 1, [1.0])
+    for flag in (True, np.True_):  # a bool is no integer
+        with pytest.raises(InvalidInputError, match="m must be an integer"):
+            chain_fb(3, flag, [1.0])
 
 
 def test_chain_fb_structure_and_staircase():
@@ -266,6 +269,19 @@ def test_builtins_refuse_a_bad_theta(theta):
                   lambda: chain_fb(3, 1, (1.0,), theta=theta)):
         with pytest.raises(InvalidInputError, match="theta"):
             build()
+
+
+@pytest.mark.parametrize("build", [douglas_rachford, davis_yin])
+def test_builtins_check_gamma_in_one_place(build):
+    for gamma in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(InvalidInputError, match="gamma must be positive"):
+            build(gamma)
+    # 2/gamma overflows: the error names gamma, not M or the scale
+    with pytest.raises(InvalidInputError,
+                       match="gamma = 1e-320 is so small that 2/gamma"):
+        build(1e-320)
+    sc = build(1e-307)  # the smallest gammas whose 2/gamma is finite build
+    assert np.all(np.isfinite(sc.S)) and sc.d[0] > 0
 
 
 def test_build_default_S_checks_its_constants():

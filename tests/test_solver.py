@@ -167,8 +167,10 @@ def test_stop_rule_reads_max_iter_as_an_integer():
     assert stop.max_iter == 1000 and type(stop.max_iter) is int
     res = solve(quadratic_pair(), douglas_rachford(gamma=1.0), stop=stop)
     assert res.iterations == 1000
-    with pytest.raises(InvalidInputError, match="max_iter must be an integer"):
-        StopRule(max_iter=2.5)
+    for value in (2.5, True, np.True_):  # a bool is no integer either
+        with pytest.raises(InvalidInputError,
+                           match="max_iter must be an integer"):
+            StopRule(max_iter=value)
 
 
 def test_stop_rule_rejects_nan_tolerances():
