@@ -6,14 +6,17 @@ Subcommands:
 * ``splitdev solve run.json``         one solve, trajectory CSV + summary JSON
 * ``splitdev experiment exp.json``    a (case, policy) grid of runs
 
-Exit codes, which ``main`` alone assigns: 0 success/converged, 1 scheme
-checks failed, 2 unreadable or invalid configuration or unwritable output,
-3 iteration cap hit, 4 divergence, 5 every experiment cell failed.  All
-files are written atomically (temp file plus rename) and repeated runs of
-the same configuration produce byte-identical outputs.
+Exit codes, which ``main`` alone assigns, alike under every command: 0
+success/converged, 1 a built scheme failed a check, 2 unreadable or invalid
+configuration (a scheme that does not build included) or unwritable
+output, 3 iteration cap hit, 4 divergence, 5 every experiment cell failed.
+All files are written atomically (temp file plus rename) and repeated runs
+of the same configuration produce byte-identical outputs.
 """
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -22,7 +25,6 @@ import tempfile
 
 from .deviations import parse_policy
 from .exceptions import (
-    DegenerateStepsizeError,
     DivergenceError,
     InvalidInputError,
     OracleFailureError,
@@ -40,8 +42,6 @@ from .markowitz import (
 )
 from .operators import MonotoneOp, Problem
 from .scheme import (
-    CheckResult,
-    ValidationReport,
     _integer,
     _theta,
     douglas_rachford,
@@ -246,6 +246,11 @@ def cmd_experiment(cfg):
     schedule, theta = _build_schedule(cfg)
     stop, ref_tol = _stop(cfg)
     policy_names = [parse_policy(policy).name for policy in policies]
+    for what, keys in (("case", cases), ("policy", policy_names)):
+        dup = next((k for i, k in enumerate(keys) if k in keys[:i]), None)
+        if dup is not None:
+            raise ValueError(f"two grid cells would write the files of "
+                             f"{what} {dup!r}")
     out_dir = _output_dir(cfg)
 
     outcomes = run_grid(data, cases, policies, seeds, delta=delta,
@@ -253,13 +258,16 @@ def cmd_experiment(cfg):
                         ref_tol=ref_tol, max_iter=stop.max_iter)
     cells = [(case, policy_name) for case in cases
              for policy_name in policy_names]
-    lines = ["case,scheme,policy,mean_iters,std_iters,n_seeds"]
+    table = io.StringIO()  # a momentum policy's name holds a comma
+    rows = csv.writer(table, lineterminator="\n")
+    rows.writerow(["case", "scheme", "policy", "mean_iters", "std_iters",
+                   "n_seeds"])
     n_failed = 0
     for (case, policy_name), report in zip(cells, outcomes):
         base = f"case{case}_chain_fb_{_slug(policy_name)}"
         if isinstance(report, SplitdevError):
             n_failed += 1
-            lines.append(f"{case},chain_fb,{policy_name},,,0")
+            rows.writerow([case, "chain_fb", policy_name, "", "", 0])
             error = f"{type(report).__name__}: {report}"
             _write_atomic(os.path.join(out_dir, f"cell_{base}.json"),
                           _dump_json({"status": "failed", "error": error,
@@ -274,14 +282,11 @@ def cmd_experiment(cfg):
             _write_atomic(
                 os.path.join(out_dir, f"traj_{base}_seed{rec.seed}.csv"),
                 rec.trajectory.to_csv_text())
-        lines.append(",".join([
-            str(case), str(report.scheme), report.policy,
-            format(report.mean_iters, ".17g"),
-            format(report.std_iters, ".17g"),
-            str(len(report.records)),
-        ]))
+        rows.writerow([case, report.scheme, report.policy,
+                       format(report.mean_iters, ".17g"),
+                       format(report.std_iters, ".17g"), len(report.records)])
     _write_atomic(os.path.join(out_dir, "experiment_summary.csv"),
-                  "\n".join(lines) + "\n")
+                  table.getvalue())
     if n_failed == len(cells):
         return _fail("every experiment cell failed", EXIT_ALL_CELLS_FAILED)
     return EXIT_OK
@@ -315,13 +320,6 @@ def main(argv=None):
         phase = "invalid"
         return args.func(doc)
     except (SplitdevError, KeyError, OSError, TypeError, ValueError) as exc:
-        if args.command == "validate" and isinstance(
-                exc, DegenerateStepsizeError):
-            # a degenerate stepsize is a failed check, not a bad document
-            report = ValidationReport(
-                [CheckResult("positive_diagonal", False, str(exc))])
-            print(_dump_json(report.to_dict()), end="")
-            return EXIT_CHECKS_FAILED
         for kind, code in _EXIT_CODES:
             if isinstance(exc, kind):
                 return _fail(exc, code)

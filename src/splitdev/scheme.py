@@ -95,18 +95,27 @@ class ValidationReport:
 def compute_stepsizes(S):
     """Stepsize vector d with d_i = 2 / S_ii.
 
+    This is the one check on the diagonal of S: every scheme takes its
+    stepsizes here, and ``build_default_S`` refuses what this refuses.
+
     Raises
     ------
     DegenerateStepsizeError
-        If any diagonal entry is not strictly positive.
+        If an S_ii is not finite and positive, or so small that 2 / S_ii
+        overflows: every d_i must be finite and strictly positive.
     """
-    S = np.asarray(S, dtype=float)
-    diag = np.diag(S)
-    if np.any(diag <= 0.0) or not np.all(np.isfinite(diag)):
+    diag = np.diag(np.asarray(S, dtype=float))
+    with np.errstate(divide="ignore", over="ignore"):
+        d = 2.0 / diag
+    bad = ~(np.isfinite(d) & (d > 0.0))
+    if bad.any():
+        # the smallest S_ii is at fault, unless only an infinite one is
         i = int(np.argmin(diag))
-        raise DegenerateStepsizeError(
-            f"S[{i},{i}] = {diag[i]} gives no positive stepsize")
-    return 2.0 / diag
+        i = i if bad[i] else int(np.argmax(diag))
+        why = ("is so small that 2/S_ii overflows" if d[i] == np.inf
+               and diag[i] > 0.0 else "gives no positive stepsize")
+        raise DegenerateStepsizeError(f"S[{i},{i}] = {diag[i]} {why}")
+    return d
 
 
 def check_kernel_condition(M):
@@ -298,6 +307,8 @@ def build_default_S(M, C, Q, lipschitz, theta):
 
     This choice meets the positive-semidefiniteness condition with equality,
     which maximizes the stepsizes d_i = 2 / S_ii among admissible diagonals.
+    A diagonal that ``compute_stepsizes`` refuses, such as the S_ii = 0 of
+    an uncoupled row, raises its DegenerateStepsizeError.
     """
     M = np.asarray(M, dtype=float)
     C = np.asarray(C, dtype=float)
@@ -305,11 +316,8 @@ def build_default_S(M, C, Q, lipschitz, theta):
     L = _cocoercivity_constants(lipschitz, C.shape[1])
     MMt, K = _metric_terms(M, C, Q, L, _theta(theta))
     S = MMt + K
-    S = 0.5 * (S + S.T)
-    if np.any(np.diag(S) <= 1e-12):
-        i = int(np.argmin(np.diag(S)))
-        raise DegenerateStepsizeError(
-            f"default S has S[{i},{i}] = {S[i, i]:.3e}; row {i} is uncoupled")
+    S = 0.5 * S + 0.5 * S.T  # halve before adding, so it cannot overflow
+    compute_stepsizes(S)
     return S
 
 
@@ -407,9 +415,6 @@ def validate(scheme, lipschitz=None):
     tol = 1e-12 * (1.0 + float(np.max(np.abs(S))))
     checks.append(CheckResult("symmetric_s", asym <= tol,
                               f"max |S - S^T| = {asym:.3e}", witness=asym))
-    dmin = float(np.min(np.diag(S)))
-    checks.append(CheckResult("positive_diagonal", dmin > 0.0,
-                              f"min S_ii = {dmin!r}", witness=dmin))
     checks.append(check_kernel_condition(scheme.M))
     checks.append(check_row_sums(scheme.C, scheme.Q))
     try:

@@ -1,5 +1,6 @@
 """Command line front end: exit codes, artifacts, determinism."""
 
+import csv
 import json
 import os
 import subprocess
@@ -14,6 +15,7 @@ from splitdev import (
     StopRule,
     davis_yin,
     douglas_rachford,
+    parse_policy,
     run_experiment,
     scheme_from_json,
     scheme_to_json,
@@ -142,21 +144,25 @@ def test_validate_reads_string_theta_alike_in_both_documents(
 
 
 def test_validate_degenerate_diagonal_report(tmp_path, capsys):
-    # a zero S_ii is a failed check with the full report on stdout
+    # a zero S_ii builds no scheme: exit 2 under every command, no report
     doc = {"M": [[1], [-1]], "S": [[0, 0], [0, 1]], "theta": 1}
-    assert main(["validate", write_json(tmp_path, doc, "zero.json")]) == 1
-    assert capsys.readouterr().out == """{
-  "checks": [
-    {
-      "detail": "S[0,0] = 0.0 gives no positive stepsize",
-      "name": "positive_diagonal",
-      "passed": false,
-      "witness": null
-    }
-  ],
-  "passed": false
-}
-"""
+    message = "S[0,0] = 0.0 gives no positive stepsize\n"
+    assert main(["validate", write_json(tmp_path, doc, "zero.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"splitdev: invalid scheme document: {message}"
+    out = tmp_path / "out"
+    assert main(["solve", run_config(tmp_path, out, scheme=doc)]) == 2
+    assert capsys.readouterr().err == \
+        f"splitdev: invalid run config: {message}"
+    assert not out.exists()
+
+
+def test_validate_accepts_a_weakly_coupled_scheme(tmp_path, capsys):
+    # S_ii = 1e-14 is small but gives the finite stepsize 2e14
+    doc = {"M": [[1e-7], [-1e-7]], "theta": 1}
+    assert main(["validate", write_json(tmp_path, doc, "weak.json")]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
 
 
 def test_solve_dr_quadratic(tmp_path):
@@ -308,6 +314,67 @@ def test_experiment_grid(tmp_path):
         assert fields[-1] == "2"
     assert (out / "cell_case1_chain_fb_zero.json").exists()
     assert (out / "traj_case1_chain_fb_zero_seed0.csv").exists()
+
+
+def test_experiment_summary_quotes_the_policy_name(tmp_path):
+    # a momentum name holds a comma; the csv module reads it back whole
+    out = tmp_path / "out"
+    assert main(["experiment",
+                 experiment_config(tmp_path, out, seeds=[0])]) == 0
+    with open(out / "experiment_summary.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["policy"] for row in rows] == [
+        parse_policy(spec).name
+        for spec in ("zero", "momentum:beta=0.35,rho=0.05")]
+    assert all(None not in row and row["n_seeds"] == "1" for row in rows)
+
+
+@pytest.mark.parametrize("cases,policies,files", [
+    ([1, 1.0], ["zero"], "case 1"),
+    ([1], ["zero", "randball", "zero"], "policy 'zero'"),
+    ([1], ["momentum:beta=0.1234567", "momentum:beta=0.1234568"],
+     "policy 'momentum:beta=0.123457,rho=0.7'"),
+], ids=["case", "policy", "printed-name"])
+def test_experiment_refuses_cells_that_write_the_same_files(
+        tmp_path, monkeypatch, capsys, cases, policies, files):
+    calls = count_solves(monkeypatch)
+    out = tmp_path / "out"
+    cfg = experiment_config(tmp_path, out,
+                            grid={"cases": cases, "policies": policies})
+    assert main(["experiment", cfg]) == 2
+    assert f"two grid cells would write the files of {files}" in \
+        capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
+# 15 days are too few for the case-2 window, which starts 20 days later
+SHORT_DATA = {"synthetic": {"seed": 0, "days": 15, "assets": 4}}
+
+
+def test_experiment_writes_a_failed_cell(tmp_path):
+    out = tmp_path / "out"
+    cfg = experiment_config(tmp_path, out, data=SHORT_DATA, seeds=[0],
+                            grid={"cases": [1, 2], "policies": ["zero"]})
+    assert main(["experiment", cfg]) == 0
+    cell = json.loads((out / "cell_case2_chain_fb_zero.json").read_text())
+    assert cell["status"] == "failed"
+    assert cell["error"].startswith("InvalidParameterError: shift")
+    rows = (out / "experiment_summary.csv").read_text().splitlines()
+    assert rows[1].startswith("1,chain_fb,zero,")
+    assert rows[2:] == ["2,chain_fb,zero,,,0"]
+
+
+def test_experiment_every_cell_failed_exit_code(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = experiment_config(tmp_path, out, data=SHORT_DATA,
+                            grid={"cases": [2], "policies": ["zero"]})
+    assert main(["experiment", cfg]) == 5
+    assert capsys.readouterr().err == \
+        "splitdev: every experiment cell failed\n"
+    assert (out / "experiment_summary.csv").read_text().splitlines() == [
+        "case,scheme,policy,mean_iters,std_iters,n_seeds",
+        "2,chain_fb,zero,,,0"]
 
 
 def test_experiment_single_seed_zero_std(tmp_path):

@@ -300,6 +300,32 @@ def test_build_default_S_degenerate_diagonal_raises():
         build_default_S(M, np.zeros((3, 0)), np.zeros((0, 3)), [], 1.0)
 
 
+def test_build_default_S_has_no_floor_below_a_finite_stepsize():
+    # douglas_rachford(1e13) built as a chain: S_ii = 2e-13 builds
+    sc = chain_fb(2, 0, [], scale=np.sqrt(2 / 1e13))
+    assert validate(sc).passed
+    np.testing.assert_allclose(sc.d, [1e13, 1e13])
+    with pytest.raises(DegenerateStepsizeError, match="2/S_ii overflows"):
+        chain_fb(2, 0, [], scale=1e-160)  # S_ii = 1e-320
+
+
+def test_stepsize_whose_inverse_overflows_is_refused():
+    with pytest.raises(DegenerateStepsizeError,
+                       match=r"S\[0,0\] = 5e-324 is so small that 2/S_ii"):
+        Scheme([[1.0], [-1.0]], np.diag([5e-324, 1.0]), np.zeros((2, 0)),
+               np.zeros((0, 2)), 1.0)
+
+
+@pytest.mark.parametrize("build", [lambda: davis_yin(1.5e-308),
+                                   lambda: chain_fb(2, 0, [], scale=1e154)],
+                         ids=["davis_yin", "chain_fb"])
+def test_symmetric_part_near_the_float_maximum(build):
+    # S_ii is about 1e308: the halves are added, so S + S^T never forms
+    sc = build()
+    assert np.all(np.isfinite(sc.S))
+    assert validate(sc, np.ones(sc.m)).passed
+
+
 def test_json_roundtrip_explicit_and_builtin():
     sc = chain_fb(3, 2, (1.0, 2.0), scale=3.0)
     doc = scheme_to_json(sc)
