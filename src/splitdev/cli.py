@@ -27,6 +27,7 @@ from .deviations import parse_policy
 from .exceptions import (
     DivergenceError,
     InvalidInputError,
+    InvalidParameterError,
     OracleFailureError,
     SchemeValidationError,
     SplitdevError,
@@ -34,7 +35,6 @@ from .exceptions import (
 from .markowitz import (
     _Builder,
     _reference_solution,
-    _ridge_weight,
     load_returns_csv,
     portfolio_chain_scale,
     run_grid,
@@ -43,7 +43,7 @@ from .markowitz import (
 from .operators import MonotoneOp, Problem
 from .scheme import (
     _integer,
-    _theta,
+    _positive,
     douglas_rachford,
     scheme_from_json,
     validate,
@@ -101,19 +101,23 @@ def _load_data(spec):
     if isinstance(spec, str):
         return load_returns_csv(spec)
     if isinstance(spec, dict) and "synthetic" in spec:
-        syn = dict(spec["synthetic"])
-        return synthetic_instance(**{
-            key: _integer(syn.get(key, default), key) for key, default in
-            (("seed", 0), ("days", 200), ("assets", 53), ("factors", 3))})
+        syn = _object(spec, "data", ("synthetic",))["synthetic"]
+        return synthetic_instance(**{"seed": 0, **syn})
     raise ValueError("data must be a CSV path or {'synthetic': {...}}")
 
 
-def _object(value, what):
-    """A config section that must be a JSON object; {} when absent."""
+def _object(value, what, keys=None):
+    """A config section that must be a JSON object; {} when absent.
+
+    With ``keys``, the section may hold no other key.
+    """
     if value is None:
         return {}
     if not isinstance(value, dict):
         raise TypeError(f"{what} must be a JSON object")
+    extra = set(value) - set(value if keys is None else keys)
+    if extra:
+        raise ValueError(f"unknown keys in {what}: {sorted(extra)}")
     return value
 
 
@@ -144,7 +148,8 @@ def _stop(section):
 def _data(section):
     """The returns panel and the ridge weight: data, delta."""
     return (_load_data(section["data"]),
-            _ridge_weight(float(section.get("delta", 6.0))))
+            _positive(section.get("delta", 6.0), "delta",
+                      InvalidParameterError))
 
 
 def _build_scheme(doc, problem, theta, scale):
@@ -161,20 +166,21 @@ def _build_scheme(doc, problem, theta, scale):
 
 def _build_schedule(cfg):
     """The ParamSchedule and the theta of the schemes the CLI builds."""
-    cfg = _object(cfg.get("schedule"), "schedule")
-    schedule = ParamSchedule(gamma=float(cfg.get("gamma", 0.9)),
-                             xi=float(cfg.get("xi", 0.9)),
-                             epsilon=float(cfg.get("epsilon", 1e-3)))
-    return schedule, _theta(float(cfg.get("theta", 1.0)))
+    cfg = dict(_object(cfg.get("schedule"), "schedule"))
+    theta = cfg.pop("theta", 1.0)
+    return ParamSchedule(**cfg), _positive(theta, "theta", InvalidInputError)
 
 
 def cmd_solve(cfg):
-    cfg = _object(cfg, "run config")
+    cfg = _object(cfg, "run config", ("problem", "schedule", "policy", "stop",
+                                      "scheme", "output_dir"))
     schedule, theta = _build_schedule(cfg)
-    stop_cfg = _object(cfg.get("stop"), "stop")
+    stop_cfg = _object(cfg.get("stop"), "stop",
+                       ("tol", "max_iter", "ref_tol", "reference"))
     stop, ref_tol = _stop(stop_cfg)
     policy = parse_policy(cfg.get("policy", "zero"))
-    problem_cfg = _object(cfg.get("problem"), "problem")
+    problem_cfg = _object(cfg.get("problem"), "problem",
+                          ("kind", "data", "delta", "case", "x0_seed"))
     kind = problem_cfg.get("kind")
     if kind == "markowitz":
         builder = _Builder(*_data(problem_cfg), theta, schedule, ref_tol,
@@ -226,16 +232,18 @@ def _slug(text):
 
 
 def cmd_experiment(cfg):
-    cfg = _object(cfg, "experiment config")
+    cfg = _object(cfg, "experiment config",
+                  ("data", "delta", "grid", "seeds", "schedule", "tol",
+                   "ref_tol", "max_iter", "output_dir"))
     data, delta = _data(cfg)
-    grid = _object(cfg.get("grid"), "grid")
+    grid = _object(cfg.get("grid"), "grid", ("cases", "schemes", "policies"))
     cases = [_integer(c, "case") for c in grid.get("cases", [1])]
     if grid.get("schemes", ["chain_fb"]) != ["chain_fb"]:
         raise ValueError('grid.schemes must be ["chain_fb"] or absent')
     policies = list(grid.get("policies", ["zero"]))
     seeds_cfg = cfg.get("seeds")
     if seeds_cfg is None or isinstance(seeds_cfg, dict):
-        seeds_cfg = seeds_cfg or {}
+        seeds_cfg = _object(seeds_cfg, "seeds", ("start", "count"))
         start = _integer(seeds_cfg.get("start", 0), "seeds.start")
         seeds = list(range(start, start + _integer(
             seeds_cfg.get("count", 50), "seeds.count")))

@@ -11,12 +11,14 @@ theirs to choose, and ``enforce_budget`` rescales whatever they propose back
 inside the budget.
 """
 
+import inspect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import InvalidInputError
+from .scheme import _integer
 
 __all__ = [
     "PolicyWindow",
@@ -63,8 +65,7 @@ def deviation_cost(u, v, gamma_next, theta, lipschitz):
     return cv + cu
 
 
-def enforce_budget(u_raw, v_raw, budget, gamma_next, theta, lipschitz,
-                   rho=0.7):
+def enforce_budget(u_raw, v_raw, budget, gamma_next, theta, lipschitz, rho):
     """Scale a raw pair back inside the budget.
 
     v gets the share rho of the budget and u the share 1 - rho; each block is
@@ -118,12 +119,11 @@ class MomentumPolicy(DeviationPolicy):
     """
 
     def __init__(self, beta=0.5, rho=0.7):
-        if not np.isfinite(beta) or not 0.0 <= beta <= 1.0:
+        self.beta, self.rho = float(beta), float(rho)
+        if not 0.0 <= self.beta <= 1.0:
             raise InvalidInputError("beta must lie in [0, 1]")
-        if not np.isfinite(rho) or not 0.0 <= rho <= 1.0:
+        if not 0.0 <= self.rho <= 1.0:
             raise InvalidInputError("rho must lie in [0, 1]")
-        self.beta = float(beta)
-        self.rho = float(rho)
 
     @property
     def name(self):
@@ -146,7 +146,7 @@ class RandomBallPolicy(DeviationPolicy):
     """
 
     def __init__(self, seed=0):
-        self.seed = int(seed)
+        self.seed = _integer(seed, "seed")
         self._rng = np.random.default_rng(self.seed)
 
     @property
@@ -177,6 +177,7 @@ def parse_policy(spec):
     """Build a policy from its config string.
 
     Grammar: ``zero`` | ``momentum[:beta=B,rho=R]`` | ``randball[:seed=N]``.
+    Each ``key=value`` goes to the policy's constructor, which reads it.
     """
     if isinstance(spec, DeviationPolicy):
         return spec
@@ -190,19 +191,15 @@ def parse_policy(spec):
             if not eq:
                 raise InvalidInputError(f"malformed policy parameter {item!r}")
             params[key.strip()] = value.strip()
-    allowed = {"zero": (), "momentum": ("beta", "rho"), "randball": ("seed",)}
-    if head not in allowed:
+    policy = {"zero": ZeroPolicy, "momentum": MomentumPolicy,
+              "randball": RandomBallPolicy}.get(head)
+    if policy is None:
         raise InvalidInputError(f"unknown policy {spec!r}")
-    extra = set(params) - set(allowed[head])
+    extra = set(params) - set(inspect.signature(policy).parameters)
     if extra:
         raise InvalidInputError(
             f"unknown parameters for {head}: {sorted(extra)}")
     try:
-        if head == "zero":
-            return ZeroPolicy()
-        if head == "momentum":
-            return MomentumPolicy(beta=float(params.get("beta", 0.5)),
-                                  rho=float(params.get("rho", 0.7)))
-        return RandomBallPolicy(seed=int(params.get("seed", 0)))
+        return policy(**params)
     except ValueError as exc:
         raise InvalidInputError(f"bad policy parameter: {exc}") from None

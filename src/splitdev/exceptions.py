@@ -57,4 +57,4 @@ class InvalidParameterError(SplitdevError, ValueError):
 
 
 class OracleFailureError(SplitdevError, RuntimeError):
-    """A reference solve failed to converge."""
+    """A solve that a result depends on hit ``max_iter``."""

@@ -23,6 +23,7 @@ from .deviations import parse_policy
 from .exceptions import (
     CsvParseError,
     InsufficientDataError,
+    InvalidInputError,
     InvalidParameterError,
     OracleFailureError,
     ShapeError,
@@ -39,7 +40,7 @@ from .operators import (
     estimate_cocoercivity,
     project_simplex,
 )
-from .scheme import _theta, chain_fb
+from .scheme import _integer, _positive, chain_fb
 from .solver import ParamSchedule, StopRule, solve
 
 __all__ = [
@@ -148,8 +149,10 @@ def synthetic_instance(seed, days=200, assets=53, factors=3):
 
     returns = drift + factor_paths @ loadings' + noise with idiosyncratic
     sigma = 0.01, calibrated so covariances land in the range of daily
-    equity data.
+    equity data.  Each argument is an integer (``scheme._integer``).
     """
+    seed, days, assets, factors = map(_integer, (seed, days, assets, factors),
+                                      ("seed", "days", "assets", "factors"))
     if days < 2 or assets < 1:
         raise InvalidParameterError("need days >= 2 and assets >= 1")
     rng = np.random.default_rng(seed)
@@ -158,13 +161,6 @@ def synthetic_instance(seed, days=200, assets=53, factors=3):
     drift = rng.normal(5e-4, 5e-4, size=assets)
     noise = rng.normal(0.0, 0.01, size=(days, assets))
     return MarketData(drift + paths @ loadings.T + noise)
-
-
-def _ridge_weight(delta):
-    """delta as a float; InvalidParameterError unless finite and positive."""
-    if not np.isfinite(delta) or delta <= 0:
-        raise InvalidParameterError("delta must be positive")
-    return float(delta)
 
 
 @dataclass(frozen=True)
@@ -194,7 +190,8 @@ class MarkowitzProblem:
         Lam = _symmetric_psd(Lam, "Lambda", InvalidParameterError)[0]
         object.__setattr__(self, "Lambda", Lam)
         object.__setattr__(self, "r", r)
-        object.__setattr__(self, "delta", _ridge_weight(self.delta))
+        object.__setattr__(self, "delta", _positive(
+            self.delta, "delta", InvalidParameterError))
         object.__setattr__(self, "x0", x0)
 
     @property
@@ -311,7 +308,8 @@ class _Builder:
 
     def __init__(self, data, delta, theta, schedule, ref_tol, max_iter):
         self.data, self.schedule = data, schedule
-        self.delta, self.theta = _ridge_weight(delta), _theta(theta)
+        self.delta = _positive(delta, "delta", InvalidParameterError)
+        self.theta = _positive(theta, "theta", InvalidInputError)
         self.ref_tol, self.max_iter = ref_tol, max_iter
         self._memo = {}
 
@@ -372,7 +370,9 @@ def run_grid(data, cases=(1,), policies=("zero",), seeds=range(50),
     References do not depend on the policy: each (case, seed) reference is
     solved once, lazily in cell order, and shared by every policy.  Returns
     one entry per cell, ordered by case, then policy: an ExperimentReport,
-    or the SplitdevError the cell raised.  A delta that is not finite and
+    or the SplitdevError the cell raised; a policy run that hits
+    ``max_iter`` before ``tol`` raises OracleFailureError naming its seed,
+    as a stalled reference does.  A delta that is not finite and
     positive raises InvalidParameterError, and such a theta
     InvalidInputError, before any cell runs.
     """
@@ -391,6 +391,10 @@ def run_grid(data, cases=(1,), policies=("zero",), seeds=range(50),
                         policy=parse_policy(policy),
                         stop=StopRule(tol=tol, max_iter=max_iter,
                                       reference=x_ref))
+            if not run.converged:
+                raise OracleFailureError(
+                    f"seed {seed}: policy run hit max_iter = "
+                    f"{run.iterations} at distance above tol = {tol}")
             records.append(RunRecord(
                 seed=seed, iterations=run.iterations, converged=run.converged,
                 final_error=float(np.linalg.norm(run.x - x_ref)),
@@ -409,13 +413,12 @@ def run_grid(data, cases=(1,), policies=("zero",), seeds=range(50),
     return outcomes
 
 
-def run_experiment(data, policy="zero", case=1, seeds=range(50), delta=6.0,
-                   theta=1.0, schedule=None, tol=1e-8, ref_tol=1e-12,
-                   max_iter=10 ** 6):
-    """One cell of ``run_grid``: the report, or the cell's error raised."""
-    [outcome] = run_grid(data, [case], [policy], seeds, delta=delta,
-                         theta=theta, schedule=schedule, tol=tol,
-                         ref_tol=ref_tol, max_iter=max_iter)
+def run_experiment(data, policy="zero", case=1, **options):
+    """One cell of ``run_grid``: the report, or the cell's error raised.
+
+    ``options`` are ``run_grid``'s keywords (seeds, delta, theta, ...).
+    """
+    [outcome] = run_grid(data, [case], [policy], **options)
     if isinstance(outcome, SplitdevError):
         raise outcome
     return outcome

@@ -17,6 +17,7 @@ from .exceptions import (
     InvalidInputError,
     ShapeError,
 )
+from .scheme import _integer, _positive
 
 __all__ = [
     "MonotoneOp",
@@ -209,8 +210,8 @@ class CocoerciveOp:
     label: str = ""
 
     def __post_init__(self):
-        if not np.isfinite(self.lipschitz) or self.lipschitz <= 0:
-            raise InvalidInputError("cocoercivity constant must be positive")
+        object.__setattr__(self, "lipschitz", _positive(
+            self.lipschitz, "cocoercivity constant", InvalidInputError))
 
 
 def affine_monotone(A, b, label=""):
@@ -281,9 +282,9 @@ class Problem:
         self.B = tuple(B)
         if len(self.F) < 2:
             raise InvalidInputError("need at least two resolvent operators")
-        if dim is None or int(dim) < 1:
+        self.dim = 0 if dim is None else _integer(dim, "dim")
+        if self.dim < 1:
             raise InvalidInputError("dim must be a positive integer")
-        self.dim = int(dim)
         self.lipschitz = np.array([op.lipschitz for op in self.B], dtype=float)
         self.lipschitz.flags.writeable = False
 

@@ -18,6 +18,7 @@ and m cocoercive operators into one fixed-point iteration on n-1 dual blocks:
 witnesses; the solver refuses schemes whose report fails.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -221,18 +222,17 @@ def check_row_sums(C, Q):
     return CheckResult("row_sums", True, "all C columns and Q rows sum to 1")
 
 
-def _theta(theta):
-    """theta as a float; InvalidInputError unless it is finite and positive."""
-    if not np.isfinite(theta) or theta <= 0:
-        raise InvalidInputError("theta must be positive")
-    return float(theta)
+def _positive(value, name, error):
+    """value as a float; ``error`` unless it is finite and positive."""
+    value = float(value)
+    if not 0.0 < value < math.inf:
+        raise error(f"{name} must be positive")
+    return value
 
 
 def _gamma(gamma):
     """gamma as a float; InvalidInputError unless positive with 2/gamma finite."""
-    if not np.isfinite(gamma) or gamma <= 0:
-        raise InvalidInputError("gamma must be positive")
-    gamma = float(gamma)
+    gamma = _positive(gamma, "gamma", InvalidInputError)
     if not np.isfinite(2.0 / gamma):
         raise InvalidInputError(f"gamma = {gamma!r} is so small that 2/gamma "
                                 "overflows")
@@ -243,6 +243,8 @@ def _integer(value, name):
     """value as an int; InvalidInputError for a bool or a non-integral value."""
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return int(value)  # exact, however large
+    if isinstance(value, str) and value.isdecimal():
+        return int(value)  # a policy string's seed, exact however long
     if isinstance(value, (bool, np.bool_)) or not float(value).is_integer():
         raise InvalidInputError(f"{name} must be an integer, got {value!r}")
     return int(float(value))
@@ -259,11 +261,16 @@ def _cocoercivity_constants(lipschitz, m):
 
 
 def _metric_terms(M, C, Q, lipschitz, theta):
-    """M M^T and K = (1/2)(1 + 1/theta) (C^T - Q)^T diag(L) (C^T - Q)."""
+    """M M^T and K = (1/2)(1 + 1/theta) (C^T - Q)^T diag(L) (C^T - Q).
+
+    An entry past the float maximum comes out infinite, with no warning:
+    the callers judge it, ``compute_stepsizes`` and the PSD check.
+    """
     T = C.T - Q  # (m, n)
     L = np.asarray(lipschitz, dtype=float)
-    K = T.T @ (L[:, None] * T) if T.size else np.zeros((C.shape[0],) * 2)
-    return M @ M.T, 0.5 * (1.0 + 1.0 / theta) * K
+    with np.errstate(over="ignore", invalid="ignore"):
+        K = T.T @ (L[:, None] * T) if T.size else np.zeros((C.shape[0],) * 2)
+        return M @ M.T, 0.5 * (1.0 + 1.0 / theta) * K
 
 
 def check_psd_condition(S, M, C, Q, lipschitz, theta):
@@ -277,18 +284,26 @@ def check_psd_condition(S, M, C, Q, lipschitz, theta):
     (c modest; tol takes c = 4, and ||G||_2 is at most the sum of the three
     norms).  So lambda_min >= -tol is PSD to round-off, and since tol
     scales with the terms a wrong L is seen however small it is.  The
-    spectral norms come from an SVD, which does not overflow where a sum
-    of squares would.  Also requires the total sum of S (the consensus
-    direction e^T S e) to vanish, to within 1e-10 (1 + ||S||_2).
+    spectral norms come from an SVD of the three terms divided by the power
+    of two just above their largest entry, and tol is multiplied back: the
+    scaling is exact, so tol keeps its bits wherever the plain norms
+    neither overflow nor underflow, and stays finite near the float
+    maximum.  A G that overflows gives a NaN lambda_min, which fails.  Also
+    requires the total sum of S (the consensus direction e^T S e) to
+    vanish, to within 1e-10 (1 + ||S||_2).
     """
     S = np.asarray(S, dtype=float)
     MMt, K = _metric_terms(np.asarray(M, dtype=float), C, Q, lipschitz, theta)
-    G = S - MMt - K
-    G = 0.5 * (G + G.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = S - MMt - K
+        G = 0.5 * (G + G.T)
     lam_min = float(np.linalg.eigvalsh(G)[0])
-    s_norm = float(np.linalg.norm(S, 2))
-    tol = 4 * S.shape[0] * np.finfo(float).eps * (
-        s_norm + float(np.linalg.norm(MMt, 2)) + float(np.linalg.norm(K, 2)))
+    terms = (S, MMt, K)
+    e = math.frexp(max(float(np.abs(a).max(initial=0.0)) for a in terms))[1]
+    norms = [float(np.linalg.norm(np.ldexp(a, -e), 2)) for a in terms]
+    with np.errstate(over="ignore"):
+        s_norm = float(np.ldexp(norms[0], e))
+    tol = math.ldexp(4 * S.shape[0] * np.finfo(float).eps * sum(norms), e)
     esum = float(S.sum())
     ok_psd = lam_min >= -tol
     ok_zero = abs(esum) <= 1e-10 * (1.0 + s_norm)
@@ -314,7 +329,8 @@ def build_default_S(M, C, Q, lipschitz, theta):
     C = np.asarray(C, dtype=float)
     Q = np.asarray(Q, dtype=float)
     L = _cocoercivity_constants(lipschitz, C.shape[1])
-    MMt, K = _metric_terms(M, C, Q, L, _theta(theta))
+    MMt, K = _metric_terms(M, C, Q, L,
+                           _positive(theta, "theta", InvalidInputError))
     S = MMt + K
     S = 0.5 * S + 0.5 * S.T  # halve before adding, so it cannot overflow
     compute_stepsizes(S)
@@ -381,7 +397,7 @@ class Scheme:
         self.S = S
         self.C = C
         self.Q = Q
-        self.theta = _theta(theta)
+        self.theta = _positive(theta, "theta", InvalidInputError)
         self.d = compute_stepsizes(S)
         for a in (self.M, self.S, self.C, self.Q, self.d):
             a.flags.writeable = False
@@ -445,7 +461,7 @@ def davis_yin(gamma, theta=1.0, lipschitz=(1.0,)):
     gamma < 4 / ((1 + 1/theta) L_1).
     """
     gamma = _gamma(gamma)
-    theta = _theta(theta)
+    theta = _positive(theta, "theta", InvalidInputError)
     L1 = float(_cocoercivity_constants(np.ravel(lipschitz), 1)[0])
     a2 = 2.0 / gamma - 0.5 * (1.0 + 1.0 / theta) * L1
     if a2 <= 0:
@@ -473,9 +489,7 @@ def chain_fb(n, m, lipschitz=(), theta=1.0, scale=1.0):
         raise InvalidInputError("need n >= 2")
     if not 0 <= m <= n - 1:
         raise InvalidInputError("need 0 <= m <= n - 1")
-    scale = float(scale)
-    if not scale > 0.0 or not np.isfinite(scale):
-        raise InvalidParameterError("scale must be positive and finite")
+    scale = _positive(scale, "scale", InvalidParameterError)
     M = np.zeros((n, n - 1))
     idx = np.arange(n - 1)
     M[idx, idx] = scale
@@ -540,13 +554,9 @@ def scheme_from_json(doc, lipschitz=None):
     if not isinstance(doc, dict):
         raise InvalidInputError("scheme document must be a JSON object")
     if "builtin" in doc:
-        # gamma and theta are read with float, like the explicit theta
-        params = {key: float(doc[key]) for key in ("gamma", "theta")
-                  if key in doc}
-        params.update((key, doc[key]) for key in ("n", "m", "scale")
-                      if key in doc)
-        if "L" in doc:
-            params["lipschitz"] = doc["L"]
+        # the builder reads its own keys; L is its lipschitz
+        params = {"lipschitz" if key == "L" else key: value
+                  for key, value in doc.items() if key != "builtin"}
         return make_builtin(doc["builtin"], **params)
     try:
         M = np.asarray(doc["M"], dtype=float)

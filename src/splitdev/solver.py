@@ -62,7 +62,7 @@ class ParamSchedule:
 
     gamma and xi may be plain floats or callables of the iteration index.
     Values are checked on access: epsilon <= gamma_k <= 1 - epsilon and
-    0 <= xi_k <= 1 - epsilon; a constant is also checked on construction.
+    0 <= xi_k <= 1 - epsilon; constants are read with float and checked.
     """
 
     gamma: Union[float, Callable[[int], float]] = 0.9
@@ -70,12 +70,13 @@ class ParamSchedule:
     epsilon: float = 1e-3
 
     def __post_init__(self):
+        self.epsilon = float(self.epsilon)
         if not 0.0 < self.epsilon < 0.5:
             raise InvalidInputError("epsilon must lie in (0, 0.5)")
         if not callable(self.gamma):
-            self.gamma_at(0)
+            self.gamma = self.gamma_at(0)
         if not callable(self.xi):
-            self.xi_at(0)
+            self.xi = self.xi_at(0)
 
     def gamma_at(self, k):
         g = float(self.gamma(k)) if callable(self.gamma) else float(self.gamma)

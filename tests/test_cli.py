@@ -774,3 +774,74 @@ def test_experiment_bad_tolerance_or_delta_exit_code(
     assert f"{name} must" in capsys.readouterr().err
     assert calls == []
     assert not out.exists()
+
+
+
+def edited_config(tmp_path, out, command, path, value):
+    """The test config of ``command`` with the key at ``path`` set."""
+    make_config = run_config if command == "solve" else experiment_config
+    with open(make_config(tmp_path, out), encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    *parents, key = path
+    section = cfg
+    for name in parents:
+        section = section[name]
+    section[key] = value
+    return write_json(tmp_path, cfg, "edited.json")
+
+
+@pytest.mark.parametrize("command,path,value,message", [
+    ("solve", ("schedule",), {"gama": 0.5},
+     "unexpected keyword argument 'gama'"),
+    ("experiment", ("data", "synthetic"), {"sed": 5},
+     "unexpected keyword argument 'sed'"),
+    ("solve", ("scheme",), {"builtin": "chain_fb", "n": 2, "m": 0,
+                            "sclae": 5},
+     "unexpected keyword argument 'sclae'"),
+], ids=["schedule", "synthetic", "builtin"])
+def test_misspelt_constructor_key_exit_code(tmp_path, monkeypatch, capsys,
+                                            command, path, value, message):
+    # these keys go to the constructor, which refuses one it does not take
+    calls = count_solves(monkeypatch)
+    out = tmp_path / "out"
+    cfg = edited_config(tmp_path, out, command, path, value)
+    assert main([command, cfg]) == 2
+    assert message in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
+def test_validate_misspelt_builtin_key_exit_code(tmp_path, capsys):
+    doc = {"builtin": "chain_fb", "n": 3, "m": 1, "L": [1], "sclae": 5}
+    assert main(["validate", write_json(tmp_path, doc, "typo.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unexpected keyword argument 'sclae'" in captured.err
+
+
+@pytest.mark.parametrize("command,path,section", [
+    ("solve", ("polcy",), "run config"),
+    ("solve", ("problem", "x0_sed"), "problem"),
+    ("solve", ("stop", "tl"), "stop"),
+    ("experiment", ("polices",), "experiment config"),
+    ("experiment", ("grid", "case"), "grid"),
+    ("experiment", ("seeds", "cont"), "seeds"),
+    ("experiment", ("data", "synthetc"), "data"),
+], ids=["solve", "problem", "stop", "experiment", "grid", "seeds", "data"])
+def test_unknown_key_exit_code_before_any_solve(tmp_path, monkeypatch, capsys,
+                                                command, path, section):
+    calls = count_solves(monkeypatch)
+    out = tmp_path / "out"
+    cfg = edited_config(tmp_path, out, command, path, 1)
+    assert main([command, cfg]) == 2
+    assert f"unknown keys in {section}: ['{path[-1]}']" in \
+        capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec", [5, ["a.csv"], {"csv": "a.csv"}, None])
+def test_cli_refusals(spec):
+    # data is a CSV path or {"synthetic": {...}}
+    with pytest.raises(ValueError, match="data must be a CSV path"):
+        cli._load_data(spec)

@@ -183,3 +183,32 @@ def test_parse_policy_rejects_unknown():
         parse_policy("momentum:gamma=1")  # not a momentum parameter
     with pytest.raises(InvalidInputError):
         parse_policy("zero:seed=1")
+
+
+def test_parse_policy_passes_parameters_to_the_constructor():
+    # each constructor reads its own parameters: an integral seed string
+    # is read as an integer, as every other integer key is
+    assert parse_policy("randball:seed=1.0").seed == 1
+    assert parse_policy("randball:seed=1.0").name == "randball:seed=1"
+    big = 12345678901234567890  # past 2**53: read exactly, not via float
+    assert parse_policy(f"randball:seed={big}").seed == big
+    assert parse_policy("momentum").name == MomentumPolicy().name
+    assert parse_policy("randball").name == RandomBallPolicy().name
+
+
+@pytest.mark.parametrize("seed", [2.7, True, "2.5"])
+def test_random_ball_seed_is_an_integer(seed):
+    with pytest.raises(InvalidInputError, match="seed must be an integer"):
+        RandomBallPolicy(seed=seed)
+
+
+@pytest.mark.parametrize("refuse", [
+    lambda: parse_policy("momentum:beta"),
+    lambda: parse_policy("momentum:beta=abc"),
+    lambda: parse_policy("randball:seed=-1"),
+    lambda: enforce_budget(np.ones((1, 2)), np.ones((1, 2)), 1.0, 0.5, 1.0,
+                           np.ones(1), rho=1.5),
+], ids=["malformed", "not-a-float", "negative-seed", "enforce-rho"])
+def test_deviations_refusals(refuse):
+    with pytest.raises(InvalidInputError):
+        refuse()

@@ -367,3 +367,41 @@ def test_run_grid_reports_failed_reference_on_every_cell():
     with pytest.raises(OracleFailureError) as alone:
         run_experiment(data, case=2, seeds=[0, 1], max_iter=5)
     assert {str(rep) for rep in reports} == {str(alone.value)}
+
+
+def test_censored_policy_run_fails_its_cell():
+    # momentum converges to x*, not to the 1e-6 reference, and hits max_iter
+    data = synthetic_instance(seed=0, days=60, assets=4)
+    options = dict(seeds=[0, 1], ref_tol=1e-6, max_iter=3000)
+    zero = run_experiment(data, policy="zero", **options)
+    assert [rec.converged for rec in zero.records] == [True, True]
+    with pytest.raises(OracleFailureError, match="seed 0: policy run hit "
+                       "max_iter = 3000"):
+        run_experiment(data, policy="momentum:beta=0.35,rho=0.05", **options)
+
+
+@pytest.mark.parametrize("days,assets,factors", [
+    (60.0, 4, 3), (60, 4.0, 3.0)])
+def test_synthetic_instance_reads_integral_floats(days, assets, factors):
+    np.testing.assert_array_equal(
+        synthetic_instance(1, days, assets, factors).returns,
+        synthetic_instance(1, 60, 4, 3).returns)
+
+
+@pytest.mark.parametrize("refuse,error", [
+    (lambda: MarketData(np.ones(3)), ShapeError),
+    (lambda: estimate_moments(MarketData(np.ones((1, 3)))),
+     InsufficientDataError),
+    (lambda: MarkowitzProblem(np.ones((2, 3)), np.zeros(2), 1.0,
+                              np.full(2, 0.5)), ShapeError),
+    (lambda: MarkowitzProblem(np.eye(2), np.array([0.0, np.nan]), 1.0,
+                              np.full(2, 0.5)), InvalidParameterError),
+    (lambda: MarkowitzProblem(np.eye(2), np.zeros(2), 0.0, np.full(2, 0.5)),
+     InvalidParameterError),
+    (lambda: synthetic_instance(0.5), InvalidInputError),
+    (lambda: synthetic_instance(0, days=True), InvalidInputError),
+], ids=["returns-1d", "one-row", "lambda-not-square", "nan-r", "delta-zero",
+        "fractional-seed", "boolean-days"])
+def test_markowitz_refusals(refuse, error):
+    with pytest.raises(error):
+        refuse()

@@ -348,3 +348,23 @@ def test_problem_validates_structure():
     np.testing.assert_allclose(prob.lipschitz, [1.0])
     with pytest.raises(ValueError):
         prob.lipschitz[0] = 2.0  # read-only view
+
+
+@pytest.mark.parametrize("dim", [2.7, True])
+def test_problem_dim_is_an_integer(dim):
+    with pytest.raises(InvalidInputError, match="dim must be an integer"):
+        Problem((zero_monotone(), zero_monotone()), dim=dim)
+    assert Problem((zero_monotone(), zero_monotone()), dim=2.0).dim == 2
+
+
+@pytest.mark.parametrize("refuse,error", [
+    (lambda: project_simplex(np.ones((2, 2))), ShapeError),
+    (lambda: project_simplex(np.ones(0)), ShapeError),
+    (lambda: CocoerciveOp(lambda x: x, lipschitz=np.nan), InvalidInputError),
+    (lambda: Problem((zero_monotone(),), dim=1), InvalidInputError),
+    (lambda: Problem((zero_monotone(), zero_monotone())), InvalidInputError),
+], ids=["simplex-2d", "simplex-empty", "lipschitz-nan", "one-resolvent",
+        "no-dim"])
+def test_operators_refusals(refuse, error):
+    with pytest.raises(error):
+        refuse()

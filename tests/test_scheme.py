@@ -349,3 +349,71 @@ def test_scheme_from_json_builds_default_S_when_missing():
 def test_make_builtin_unknown_kind():
     with pytest.raises(InvalidInputError):
         make_builtin("unknown_kind")
+
+
+def test_metric_terms_overflow_without_a_warning():
+    # M M^T overflows to inf on the middle row; tier-1 turns warnings into
+    # errors, so a numpy overflow warning fails this test
+    with pytest.raises(DegenerateStepsizeError, match=r"S\[1,1\] = inf"):
+        chain_fb(3, 0, scale=1e154)
+
+
+def test_psd_allowance_stays_finite_near_the_float_maximum():
+    # S near 1.3e308, built for L = 1: its norm overflows, the allowance
+    # must not, so L = 1e300 is refused
+    sc = davis_yin(1.5e-308)
+    assert np.abs(sc.S).max() > 1e308
+    assert validate(sc, [1.0]).passed
+    psd = validate(sc, [1e300])["psd"]
+    assert not psd.passed
+    assert psd.detail == "lambda_min = -2.000e+300"
+
+
+@pytest.mark.parametrize("doc", [
+    {"builtin": "chain_fb", "n": 3, "m": 1, "sclae": 5},
+    {"builtin": "douglas_rachford", "gamma": 1.0, "n": 2},
+    {"builtin": "davis_yin", "gamma": 1.0, "S": [[1]]},
+], ids=["typo", "n-on-dr", "matrix-on-builtin"])
+def test_builtin_document_refuses_a_key_its_builder_does_not_take(doc):
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
+        scheme_from_json(doc)
+
+
+def test_builtin_document_passes_its_keys_to_the_builder():
+    doc = {"builtin": "chain_fb", "n": 3.0, "m": 1, "L": [2.0],
+           "theta": "0.5", "scale": "3"}
+    built = scheme_from_json(doc)
+    ref = chain_fb(3, 1, [2.0], theta=0.5, scale=3.0)
+    for name in ("M", "S", "C", "Q"):
+        np.testing.assert_array_equal(getattr(built, name), getattr(ref, name))
+    assert built.theta == 0.5
+
+
+M2 = np.array([[1.0], [-1.0]])
+S2 = 2.0 * np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+
+@pytest.mark.parametrize("refuse,error", [
+    (lambda: Scheme([1.0, -1.0], S2, np.zeros((2, 0)), np.zeros((0, 2)), 1),
+     ShapeError),
+    (lambda: Scheme(np.ones((2, 2)), S2, np.zeros((2, 0)), np.zeros((0, 2)),
+                    1), ShapeError),
+    (lambda: Scheme(M2, np.eye(3), np.zeros((2, 0)), np.zeros((0, 2)), 1),
+     ShapeError),
+    (lambda: Scheme(M2, S2, np.zeros((2, 1)), np.zeros((1, 3)), 1),
+     ShapeError),
+    (lambda: chain_fb(1, 0), InvalidInputError),
+    (lambda: chain_fb(3, 3, (1.0,) * 3), InvalidInputError),
+    (lambda: chain_fb(3, -1), InvalidInputError),
+    (lambda: chain_fb(3, 0, scale=0.0), InvalidParameterError),
+    (lambda: scheme_from_json([1, 2]), InvalidInputError),
+    (lambda: scheme_from_json({"M": [[1], [-1]]}), InvalidInputError),
+    (lambda: scheme_from_json({"M": [[1]], "theta": 1}), ShapeError),
+    (lambda: find_staircase_vector(np.zeros((3, 1)), np.zeros((1, 2))),
+     ShapeError),
+], ids=["M-1d", "M-square", "S-shape", "Q-shape", "n-below-2", "m-above",
+        "m-negative", "scale-zero", "doc-not-object", "doc-missing-theta",
+        "doc-short-M", "staircase-Q-shape"])
+def test_scheme_refusals(refuse, error):
+    with pytest.raises(error):
+        refuse()

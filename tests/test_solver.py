@@ -702,3 +702,11 @@ def test_hand_called_zero_policy_step_applies_the_incoming_pair():
                                v=np.zeros_like(state.v))
     assert not np.array_equal(step(prob, sc, bare, schedule, ZeroPolicy()).z,
                               fast.z)
+
+
+@pytest.mark.parametrize("row", [(), (0,) * 9, (0,) * 11],
+                         ids=["empty", "short", "long"])
+def test_solver_refusals(row):
+    # a trajectory row holds one value per column, gamma and xi included
+    with pytest.raises(TypeError, match="a row has 10 values"):
+        sd.Trajectory().append(*row)
