@@ -72,7 +72,6 @@ from .scheme import (
     davis_yin,
     douglas_rachford,
     find_staircase_vector,
-    make_builtin,
     scheme_from_json,
     scheme_to_json,
     validate,

@@ -46,7 +46,6 @@ __all__ = [
     "douglas_rachford",
     "davis_yin",
     "chain_fb",
-    "make_builtin",
     "scheme_to_json",
     "scheme_from_json",
 ]
@@ -230,15 +229,6 @@ def _positive(value, name, error):
     return value
 
 
-def _gamma(gamma):
-    """gamma as a float; InvalidInputError unless positive with 2/gamma finite."""
-    gamma = _positive(gamma, "gamma", InvalidInputError)
-    if not np.isfinite(2.0 / gamma):
-        raise InvalidInputError(f"gamma = {gamma!r} is so small that 2/gamma "
-                                "overflows")
-    return gamma
-
-
 def _integer(value, name):
     """value as an int; InvalidInputError for a bool or a non-integral value."""
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
@@ -270,7 +260,8 @@ def _metric_terms(M, C, Q, lipschitz, theta):
     L = np.asarray(lipschitz, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         K = T.T @ (L[:, None] * T) if T.size else np.zeros((C.shape[0],) * 2)
-        return M @ M.T, 0.5 * (1.0 + 1.0 / theta) * K
+        # m = 0 has no coupling term, even where 1/theta overflows
+        return M @ M.T, 0.5 * (1.0 + 1.0 / theta) * K if T.size else K
 
 
 def check_psd_condition(S, M, C, Q, lipschitz, theta):
@@ -288,7 +279,7 @@ def check_psd_condition(S, M, C, Q, lipschitz, theta):
     of two just above their largest entry, and tol is multiplied back: the
     scaling is exact, so tol keeps its bits wherever the plain norms
     neither overflow nor underflow, and stays finite near the float
-    maximum.  A G that overflows gives a NaN lambda_min, which fails.  Also
+    maximum.  A G that overflows fails before any eigensolve.  Also
     requires the total sum of S (the consensus direction e^T S e) to
     vanish, to within 1e-10 (1 + ||S||_2).
     """
@@ -297,6 +288,8 @@ def check_psd_condition(S, M, C, Q, lipschitz, theta):
     with np.errstate(over="ignore", invalid="ignore"):
         G = S - MMt - K
         G = 0.5 * (G + G.T)
+    if not np.all(np.isfinite(G)):
+        return CheckResult("psd", False, "S - M M^T - K overflows")
     lam_min = float(np.linalg.eigvalsh(G)[0])
     terms = (S, MMt, K)
     e = math.frexp(max(float(np.abs(a).max(initial=0.0)) for a in terms))[1]
@@ -444,13 +437,26 @@ def validate(scheme, lipschitz=None):
     return ValidationReport(checks)
 
 
+def _two_block(gamma, theta, lipschitz, m):
+    """chain_fb(2, m) at the coupling a in M = a [1; -1] that makes the
+    stepsizes d_1 = d_2 = gamma: a^2 = 2/gamma - (1/2)(1 + 1/theta) sum(L)."""
+    gamma = _positive(gamma, "gamma", InvalidInputError)
+    if not np.isfinite(2.0 / gamma):
+        raise InvalidInputError(f"gamma = {gamma!r} is so small that 2/gamma "
+                                "overflows")
+    theta = _positive(theta, "theta", InvalidInputError)
+    L = _cocoercivity_constants(np.ravel(lipschitz), m)
+    # weigh, then sum: with no forward map the term is 0 even at 1/theta inf
+    a2 = 2.0 / gamma - (0.5 * (1.0 + 1.0 / theta) * L).sum()
+    if a2 <= 0:
+        raise DegenerateStepsizeError(f"gamma = {gamma} too large for L_1 = "
+                                      f"{L.sum()}: no positive coupling")
+    return chain_fb(2, m, L, theta, scale=np.sqrt(a2))
+
+
 def douglas_rachford(gamma, theta=1.0):
-    """Two-resolvent scheme equivalent to Douglas-Rachford with prox weight gamma."""
-    gamma = _gamma(gamma)
-    a = np.sqrt(2.0 / gamma)
-    M = np.array([[a], [-a]])
-    S = (2.0 / gamma) * np.array([[1.0, -1.0], [-1.0, 1.0]])
-    return Scheme(M, S, np.zeros((2, 0)), np.zeros((0, 2)), theta)
+    """Douglas-Rachford with prox weight gamma: the two-block rule, m = 0."""
+    return _two_block(gamma, theta, (), 0)
 
 
 def davis_yin(gamma, theta=1.0, lipschitz=(1.0,)):
@@ -460,14 +466,7 @@ def davis_yin(gamma, theta=1.0, lipschitz=(1.0,)):
     makes the stepsizes d_1 = d_2 = gamma, which requires
     gamma < 4 / ((1 + 1/theta) L_1).
     """
-    gamma = _gamma(gamma)
-    theta = _positive(theta, "theta", InvalidInputError)
-    L1 = float(_cocoercivity_constants(np.ravel(lipschitz), 1)[0])
-    a2 = 2.0 / gamma - 0.5 * (1.0 + 1.0 / theta) * L1
-    if a2 <= 0:
-        raise DegenerateStepsizeError(
-            f"gamma = {gamma} too large for L_1 = {L1}: no positive coupling")
-    return chain_fb(2, 1, [L1], theta, scale=np.sqrt(a2))
+    return _two_block(gamma, theta, lipschitz, 1)
 
 
 def chain_fb(n, m, lipschitz=(), theta=1.0, scale=1.0):
@@ -510,17 +509,6 @@ _BUILTINS = {
 }
 
 
-def make_builtin(kind, **params):
-    """Construct a named builtin scheme; see the individual builders."""
-    try:
-        builder = _BUILTINS[kind]
-    except KeyError:
-        raise InvalidInputError(
-            f"unknown builtin {kind!r}; choose from {sorted(_BUILTINS)}"
-        ) from None
-    return builder(**params)
-
-
 def scheme_to_json(scheme):
     """Plain-dict form with keys M, S, C, Q, theta (row-major nested lists)."""
     return {
@@ -532,9 +520,9 @@ def scheme_to_json(scheme):
     }
 
 
-def _matrix(doc, key, empty_shape):
-    """doc[key] as a 2-D float array; absent or empty gives zeros."""
-    a = np.asarray(doc.get(key, []), dtype=float)
+def _matrix(value, key, empty_shape):
+    """value as a 2-D float array; an empty one gives zeros of empty_shape."""
+    a = np.asarray(value, dtype=float)
     if not a.size:
         return np.zeros(empty_shape)
     if a.ndim != 2:
@@ -543,36 +531,44 @@ def _matrix(doc, key, empty_shape):
     return a
 
 
-def scheme_from_json(doc, lipschitz=None):
-    """Build a Scheme from its dict form.
+def _explicit_scheme(M=None, theta=None, S=(), C=(), Q=(), lipschitz=None):
+    """The scheme an explicit document spells out; ``Scheme`` checks shapes.
 
-    Accepts either explicit matrices (keys M, C, Q, theta, optional S and L)
-    or a builtin reference {"builtin": name, ...params}.  A missing "S"
-    triggers ``build_default_S`` using the "L" entry, the ``lipschitz``
-    argument, or all-ones constants, in that order.
+    A missing or empty S is ``build_default_S``'s, as an empty C means no
+    forward map; the constants default to all ones.
+    """
+    if M is None or theta is None:
+        raise InvalidInputError("scheme document missing key "
+                                f"{'M' if M is None else 'theta'!r}")
+    M = _matrix(M, "M", (0, 0))
+    C = _matrix(C, "C", (len(M), 0))
+    Q = _matrix(Q, "Q", (C.shape[1], len(M)))
+    if not np.size(S):
+        S = build_default_S(M, C, Q, np.ones(C.shape[1]) if lipschitz is None
+                            else lipschitz, theta)
+    return Scheme(M, S, C, Q, theta)
+
+
+def scheme_from_json(doc, lipschitz=None):
+    """Build a Scheme from its dict form by one builder call.
+
+    A document holds explicit matrices (keys M, theta and optional S, C, Q,
+    L) or names a builtin: {"builtin": name, ...params}.  Every other key
+    goes to the builder, L as ``lipschitz``, so one the builder does not
+    take raises TypeError; a ``lipschitz`` key is refused.  ``lipschitz``
+    is the default L of an explicit document.
     """
     if not isinstance(doc, dict):
         raise InvalidInputError("scheme document must be a JSON object")
-    if "builtin" in doc:
-        # the builder reads its own keys; L is its lipschitz
-        params = {"lipschitz" if key == "L" else key: value
-                  for key, value in doc.items() if key != "builtin"}
-        return make_builtin(doc["builtin"], **params)
-    try:
-        M = np.asarray(doc["M"], dtype=float)
-        theta = float(doc["theta"])
-    except KeyError as exc:
-        raise InvalidInputError(f"scheme document missing key {exc}") from None
-    n = M.shape[0] if M.ndim == 2 else 0
-    if n < 2:
-        raise ShapeError("M must be a nested list with n >= 2 rows")
-    C = _matrix(doc, "C", (n, 0))
-    m = C.shape[1]
-    Q = _matrix(doc, "Q", (m, n))
-    L = doc.get("L", lipschitz)
-    L = np.ones(m) if L is None else L
-    if "S" in doc:
-        S = np.asarray(doc["S"], dtype=float)
-    else:
-        S = build_default_S(M, C, Q, L, theta)
-    return Scheme(M, S, C, Q, theta)
+    if "lipschitz" in doc:
+        raise InvalidInputError("a scheme document names its cocoercivity "
+                                "constants L, not lipschitz")
+    params = {"lipschitz" if key == "L" else key: value
+              for key, value in doc.items() if key != "builtin"}
+    if "builtin" not in doc:
+        return _explicit_scheme(**{"lipschitz": lipschitz, **params})
+    names = sorted(_BUILTINS)  # a list: an unhashable name is just unknown
+    if doc["builtin"] not in names:
+        raise InvalidInputError(f"unknown builtin {doc['builtin']!r}; "
+                                f"choose from {names}")
+    return _BUILTINS[doc["builtin"]](**params)

@@ -13,6 +13,7 @@ import pytest
 from splitdev import (
     ParamSchedule,
     StopRule,
+    chain_fb,
     davis_yin,
     douglas_rachford,
     parse_policy,
@@ -103,6 +104,50 @@ def test_validate_bad_lipschitz_exit_code(tmp_path, capsys, doc):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "invalid scheme document" in captured.err
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"M": [[1], [-1]], "theta": 1, "Theta": 5, "s": [[9, 0], [0, 9]]},
+     "unexpected keyword argument 'Theta'"),
+    ({"M": [[1], [-1]], "theta": 1, "s": [[9, 0], [0, 9]]},
+     "unexpected keyword argument 's'"),
+    ({"builtin": "chain_fb", "n": 3, "m": 1, "L": [1], "lipschitz": [50]},
+     "constants L, not lipschitz"),
+    ({"builtin": "chain_fb", "n": 3, "m": 1, "lipschitz": [50], "L": [1]},
+     "constants L, not lipschitz"),
+], ids=["Theta-and-s", "s", "L-then-lipschitz", "lipschitz-then-L"])
+def test_validate_refuses_a_key_no_builder_reads(tmp_path, capsys, doc,
+                                                 message):
+    # a misspelt key is not run at the default, in either kind of document
+    assert main(["validate", write_json(tmp_path, doc, "key.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("splitdev: invalid scheme document: ")
+    assert message in captured.err
+
+
+def test_validate_remainder_that_overflows_fails_its_check(tmp_path, capsys):
+    # (1/2)(1 + 1/theta) K overflows and G + G^T mixes +inf and -inf; the
+    # scheme builds, so its PSD check fails (exit 1) before any eigensolve
+    doc = scheme_to_json(chain_fb(3, 2, [1, 1], theta=0.01))
+    doc["L"] = [1e308, 1e308]
+    assert main(["validate", write_json(tmp_path, doc, "big_L.json")]) == 1
+    report = json.loads(capsys.readouterr().out)
+    failed = [c for c in report["checks"] if not c["passed"]]
+    assert failed == [{"name": "psd", "passed": False, "witness": None,
+                       "detail": "S - M M^T - K overflows"}]
+
+
+def test_readme_validate_examples_pass(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("`validate` accepts", 1)[1]
+    block = block.split("```json\n", 1)[1].split("```", 1)[0]
+    docs = [json.loads(line) for line in block.splitlines() if line.strip()]
+    assert len(docs) == 2 and {"builtin" in doc for doc in docs} == {True,
+                                                                   False}
+    for doc in docs:
+        assert main(["validate", write_json(tmp_path, doc, "r.json")]) == 0
+        assert json.loads(capsys.readouterr().out)["passed"] is True
 
 
 @pytest.mark.parametrize("doc,message", [
@@ -746,13 +791,12 @@ def _strict_json(text):
 def test_validate_report_is_strict_json_when_the_psd_check_overflows(
         tmp_path, capsys):
     doc = scheme_to_json(davis_yin(gamma=0.5))
-    doc["L"] = [1e308]  # the coupling term overflows: lambda_min is NaN
-    with np.errstate(all="ignore"):
-        assert main(["validate", write_json(tmp_path, doc, "big.json")]) == 1
+    doc["L"] = [1e308]  # the coupling term overflows: G is not finite
+    assert main(["validate", write_json(tmp_path, doc, "big.json")]) == 1
     report = _strict_json(capsys.readouterr().out)
     psd = next(c for c in report["checks"] if c["name"] == "psd")
     assert psd == {"name": "psd", "passed": False,
-                   "detail": "lambda_min = nan", "witness": None}
+                   "detail": "S - M M^T - K overflows", "witness": None}
 
 
 @pytest.mark.parametrize("overrides", [

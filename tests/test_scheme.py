@@ -20,7 +20,6 @@ from splitdev import (
     davis_yin,
     douglas_rachford,
     find_staircase_vector,
-    make_builtin,
     scheme_from_json,
     scheme_to_json,
     validate,
@@ -155,6 +154,28 @@ def test_douglas_rachford_matrices_exact():
                                                      [-1.0, 1.0]]))
     assert sc.m == 0
     np.testing.assert_allclose(sc.d, [1.0, 1.0])
+
+
+def test_douglas_rachford_is_chain_fb_at_its_coupling_strength():
+    # no forward map: a = sqrt(2/gamma), and S is build_default_S's
+    rng = np.random.default_rng(6)
+    for _ in range(200):
+        gamma, theta = rng.uniform(0.05, 1.5, size=2)
+        got = douglas_rachford(gamma, theta)
+        want = chain_fb(2, 0, [], theta, scale=np.sqrt(2.0 / gamma))
+        for name in ("M", "S", "C", "Q", "d"):
+            assert getattr(got, name).tobytes() == \
+                getattr(want, name).tobytes()
+        assert got.theta == want.theta == theta
+
+
+def test_a_scheme_without_forward_maps_takes_any_theta():
+    # m = 0 has no coupling term, so a theta whose 1/theta overflows
+    # leaves S = M M^T instead of inf * 0
+    for sc in (chain_fb(3, 0, theta=1e-320),
+               douglas_rachford(1.0, theta=5e-324)):
+        np.testing.assert_array_equal(sc.S, sc.M @ sc.M.T)
+        assert validate(sc).passed
 
 
 def test_davis_yin_structure():
@@ -346,9 +367,11 @@ def test_scheme_from_json_builds_default_S_when_missing():
     np.testing.assert_allclose(back.S, sc.S, atol=1e-12)
 
 
-def test_make_builtin_unknown_kind():
-    with pytest.raises(InvalidInputError):
-        make_builtin("unknown_kind")
+def test_scheme_from_json_unknown_builtin_kind():
+    with pytest.raises(InvalidInputError, match="unknown builtin 'nope'"):
+        scheme_from_json({"builtin": "nope", "gamma": 1.0})
+    with pytest.raises(InvalidInputError, match=r"unknown builtin \['x'\]"):
+        scheme_from_json({"builtin": ["x"]})  # unhashable, still unknown
 
 
 def test_metric_terms_overflow_without_a_warning():
@@ -377,6 +400,35 @@ def test_psd_allowance_stays_finite_near_the_float_maximum():
 def test_builtin_document_refuses_a_key_its_builder_does_not_take(doc):
     with pytest.raises(TypeError, match="unexpected keyword argument"):
         scheme_from_json(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    {"builtin": "chain_fb", "n": 3, "m": 1, "lipschitz": [1]},
+    {"M": [[1], [-1]], "C": [[0], [1]], "Q": [[1, 0]], "theta": 1,
+     "lipschitz": [1]},
+], ids=["builtin", "explicit"])
+def test_documents_name_their_constants_L_only(doc):
+    # a lipschitz key is refused even alone, not only next to an L
+    with pytest.raises(InvalidInputError, match="constants L, not lipschitz"):
+        scheme_from_json(doc)
+
+
+def test_explicit_document_is_read_by_one_builder_call():
+    # the keys of an explicit document are its builder's keywords
+    doc = {"M": [[2.0], [-2.0]], "theta": "0.5", "C": [[0.0], [1.0]],
+           "Q": [[1.0, 0.0]], "L": [3.0]}
+    built = scheme_from_json(doc, lipschitz=[50.0])  # the document's L wins
+    M, C, Q = (np.array(doc[key]) for key in ("M", "C", "Q"))
+    ref = Scheme(M, build_default_S(M, C, Q, [3.0], 0.5), C, Q, 0.5)
+    for name in ("M", "S", "C", "Q"):
+        np.testing.assert_array_equal(getattr(built, name), getattr(ref, name))
+    del doc["L"]
+    np.testing.assert_array_equal(scheme_from_json(doc, [50.0]).S,
+                                  build_default_S(M, C, Q, [50.0], 0.5))
+    # an empty S is the default one, as an empty C means no forward map
+    doc["S"] = []
+    np.testing.assert_array_equal(scheme_from_json(doc).S,
+                                  build_default_S(M, C, Q, [1.0], 0.5))
 
 
 def test_builtin_document_passes_its_keys_to_the_builder():
@@ -408,12 +460,15 @@ S2 = 2.0 * np.array([[1.0, -1.0], [-1.0, 1.0]])
     (lambda: chain_fb(3, 0, scale=0.0), InvalidParameterError),
     (lambda: scheme_from_json([1, 2]), InvalidInputError),
     (lambda: scheme_from_json({"M": [[1], [-1]]}), InvalidInputError),
+    (lambda: scheme_from_json({"theta": 1}), InvalidInputError),
+    (lambda: scheme_from_json({"M": [[1], [-1]], "theta": 1, "S": None}),
+     ShapeError),
     (lambda: scheme_from_json({"M": [[1]], "theta": 1}), ShapeError),
     (lambda: find_staircase_vector(np.zeros((3, 1)), np.zeros((1, 2))),
      ShapeError),
 ], ids=["M-1d", "M-square", "S-shape", "Q-shape", "n-below-2", "m-above",
         "m-negative", "scale-zero", "doc-not-object", "doc-missing-theta",
-        "doc-short-M", "staircase-Q-shape"])
+        "doc-missing-M", "doc-null-S", "doc-short-M", "staircase-Q-shape"])
 def test_scheme_refusals(refuse, error):
     with pytest.raises(error):
         refuse()
