@@ -22,33 +22,25 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import replace
 
 from .deviations import parse_policy
 from .exceptions import (
     DivergenceError,
     InvalidInputError,
-    InvalidParameterError,
     OracleFailureError,
     SchemeValidationError,
     SplitdevError,
 )
 from .markowitz import (
     _Builder,
-    _reference_solution,
     load_returns_csv,
     portfolio_chain_scale,
-    run_grid,
     synthetic_instance,
 )
 from .operators import MonotoneOp, Problem
-from .scheme import (
-    _integer,
-    _positive,
-    douglas_rachford,
-    scheme_from_json,
-    validate,
-)
-from .solver import ParamSchedule, StopRule, solve
+from .scheme import _integer, douglas_rachford, scheme_from_json, validate
+from .solver import ParamSchedule, solve
 
 EXIT_OK = 0
 EXIT_CHECKS_FAILED = 1
@@ -130,26 +122,21 @@ def _output_dir(cfg):
     return out_dir
 
 
-def _tolerance(section, key, default):
-    """A stop tolerance; NaN or infinite ones are refused, as JSON has none."""
-    value = float(section.get(key, default))
-    if not math.isfinite(value):
-        raise InvalidInputError(f"{key} must not be NaN or infinite")
-    return value
+def _given(section, keys):
+    """The entries of ``section`` under ``keys``: those a config gives."""
+    return {key: section[key] for key in keys if key in section}
 
 
-def _stop(section):
-    """The StopRule and the reference tolerance: tol, max_iter, ref_tol."""
-    stop = StopRule(tol=_tolerance(section, "tol", 1e-8),
-                    max_iter=section.get("max_iter", 10 ** 6))
-    return stop, _tolerance(section, "ref_tol", 1e-12)
-
-
-def _data(section):
-    """The returns panel and the ridge weight: data, delta."""
-    return (_load_data(section["data"]),
-            _positive(section.get("delta", 6.0), "delta",
-                      InvalidParameterError))
+def _solve_options(cfg, given):
+    """``_Builder``'s keywords: the ``given`` solve keys, and the schedule
+    section, whose theta is that of the schemes the CLI builds."""
+    for key in ("tol", "ref_tol"):  # JSON could not write such a value back
+        if key in given and not math.isfinite(float(given[key])):
+            raise InvalidInputError(f"{key} must not be NaN or infinite")
+    schedule = dict(_object(cfg.get("schedule"), "schedule"))
+    if "theta" in schedule:
+        given = dict(given, theta=schedule.pop("theta"))
+    return dict(given, schedule=ParamSchedule(**schedule))
 
 
 def _build_scheme(doc, problem, theta, scale):
@@ -164,47 +151,41 @@ def _build_scheme(doc, problem, theta, scale):
     return scheme_from_json(doc, lipschitz=problem.lipschitz)
 
 
-def _build_schedule(cfg):
-    """The ParamSchedule and the theta of the schemes the CLI builds."""
-    cfg = dict(_object(cfg.get("schedule"), "schedule"))
-    theta = cfg.pop("theta", 1.0)
-    return ParamSchedule(**cfg), _positive(theta, "theta", InvalidInputError)
-
-
 def cmd_solve(cfg):
     cfg = _object(cfg, "run config", ("problem", "schedule", "policy", "stop",
                                       "scheme", "output_dir"))
-    schedule, theta = _build_schedule(cfg)
     stop_cfg = _object(cfg.get("stop"), "stop",
                        ("tol", "max_iter", "ref_tol", "reference"))
-    stop, ref_tol = _stop(stop_cfg)
+    options = _solve_options(cfg, _given(stop_cfg,
+                                         ("tol", "max_iter", "ref_tol")))
     policy = parse_policy(cfg.get("policy", "zero"))
     problem_cfg = _object(cfg.get("problem"), "problem",
                           ("kind", "data", "delta", "case", "x0_seed"))
     kind = problem_cfg.get("kind")
     if kind == "markowitz":
-        builder = _Builder(*_data(problem_cfg), theta, schedule, ref_tol,
-                           stop.max_iter)
+        builder = _Builder(_load_data(problem_cfg["data"]), **options,
+                           **_given(problem_cfg, ("delta",)))
         problem, scheme = builder.problem(
             _integer(problem_cfg.get("case", 1), "case"),
             _integer(problem_cfg.get("x0_seed", 0), "x0_seed"))
         scale = portfolio_chain_scale(problem.dim)
     elif kind == "dr_quadratic":
-        problem = _dr_quadratic_problem()
-        scheme, scale = douglas_rachford(1.0, theta=theta), 1.0
+        builder, problem = _Builder(None, **options), _dr_quadratic_problem()
+        scheme, scale = douglas_rachford(1.0, theta=builder.theta), 1.0
     else:
         raise ValueError(f"unknown problem kind {kind!r}")
     if cfg.get("scheme") is not None:
-        scheme = _build_scheme(cfg["scheme"], problem, theta, scale)
+        scheme = _build_scheme(cfg["scheme"], problem, builder.theta, scale)
+    stop = builder.stop
     if stop_cfg.get("reference") == "auto":
-        stop.reference = _reference_solution(problem, scheme, schedule,
-                                             ref_tol, stop.max_iter)
+        stop = replace(stop, reference=builder.solve_reference(problem,
+                                                               scheme))
     out_dir = _output_dir(cfg)
 
     summary = {"problem": kind, "policy": policy.name, "tol": stop.tol}
     try:
-        result = solve(problem, scheme, schedule=schedule, policy=policy,
-                       stop=stop)
+        result = solve(problem, scheme, schedule=builder.schedule,
+                       policy=policy, stop=stop)
     except DivergenceError as exc:
         summary.update(status="diverged", error=str(exc))
         _write_atomic(os.path.join(out_dir, "summary.json"),
@@ -235,7 +216,8 @@ def cmd_experiment(cfg):
     cfg = _object(cfg, "experiment config",
                   ("data", "delta", "grid", "seeds", "schedule", "tol",
                    "ref_tol", "max_iter", "output_dir"))
-    data, delta = _data(cfg)
+    builder = _Builder(_load_data(cfg["data"]), **_solve_options(
+        cfg, _given(cfg, ("delta", "tol", "ref_tol", "max_iter"))))
     grid = _object(cfg.get("grid"), "grid", ("cases", "schemes", "policies"))
     cases = [_integer(c, "case") for c in grid.get("cases", [1])]
     if grid.get("schemes", ["chain_fb"]) != ["chain_fb"]:
@@ -251,8 +233,6 @@ def cmd_experiment(cfg):
         seeds = [_integer(s, "seed") for s in seeds_cfg]
     if not seeds or not cases or not policies:
         raise ValueError("experiment grid is empty")
-    schedule, theta = _build_schedule(cfg)
-    stop, ref_tol = _stop(cfg)
     policy_names = [parse_policy(policy).name for policy in policies]
     for what, keys in (("case", cases), ("policy", policy_names)):
         dup = next((k for i, k in enumerate(keys) if k in keys[:i]), None)
@@ -261,9 +241,7 @@ def cmd_experiment(cfg):
                              f"{what} {dup!r}")
     out_dir = _output_dir(cfg)
 
-    outcomes = run_grid(data, cases, policies, seeds, delta=delta,
-                        theta=theta, schedule=schedule, tol=stop.tol,
-                        ref_tol=ref_tol, max_iter=stop.max_iter)
+    outcomes = builder.run(cases, policies, seeds)
     cells = [(case, policy_name) for case in cases
              for policy_name in policy_names]
     table = io.StringIO()  # a momentum policy's name holds a comma

@@ -15,7 +15,7 @@ constant delta).
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -288,30 +288,32 @@ def portfolio_chain_scale(assets):
     return 14.0 * math.sqrt(assets)
 
 
-def _reference_solution(problem, scheme, schedule, ref_tol, max_iter):
-    ref = solve(problem, scheme, schedule=schedule,
-                stop=StopRule(tol=ref_tol, max_iter=max_iter))
-    if not ref.converged:
-        raise OracleFailureError(
-            f"reference run stalled at residual above {ref_tol}")
-    return ref.x
-
-
 class _Builder:
-    """Moments by case, problems and references by (case, seed), built once.
+    """The one constructor of a grid's solve parameters, and its cell loop.
 
-    Every problem gets ``chain_fb`` at ``portfolio_chain_scale(p)``.  A
-    case-2 problem starts from the case-1 reference of its seed (the
-    presolve); building a problem solves no other reference.  A build or
-    solve that raised raises the same error on every later request.
+    Each parameter is defaulted here, ``tol`` and ``max_iter`` by
+    ``StopRule``, and a bad one is refused on construction, before any
+    solve.  ``data`` is read only when a problem is built, so
+    ``_Builder(None, ...)`` holds the solve parameters alone.
+
+    Moments are built once per case, problems and references once per
+    (case, seed).  Every problem gets ``chain_fb`` at
+    ``portfolio_chain_scale(p)``.  A case-2 problem starts from the case-1
+    reference of its seed (the presolve); building a problem solves no
+    other reference.  A build or solve that raised raises the same error on
+    every later request.
     """
 
-    def __init__(self, data, delta, theta, schedule, ref_tol, max_iter):
-        self.data, self.schedule = data, schedule
+    def __init__(self, data, delta=6.0, theta=1.0, schedule=None,
+                 tol=StopRule.tol, ref_tol=1e-12, max_iter=StopRule.max_iter):
+        self.data, self._memo = data, {}
         self.delta = _positive(delta, "delta", InvalidParameterError)
         self.theta = _positive(theta, "theta", InvalidInputError)
-        self.ref_tol, self.max_iter = ref_tol, max_iter
-        self._memo = {}
+        self.schedule = schedule if schedule is not None else ParamSchedule()
+        self.stop = StopRule(tol=tol, max_iter=max_iter)
+        self.ref_tol = float(ref_tol)
+        if math.isnan(self.ref_tol):
+            raise InvalidInputError("ref_tol must not be NaN")
 
     def _memoized(self, key, compute):
         if key not in self._memo:
@@ -342,55 +344,42 @@ class _Builder:
         return self._memoized(("problem", case, seed), compute)
 
     def reference(self, case, seed):
-        """x* of one (case, seed), by a deviation-free solve."""
-        def compute():
-            return _reference_solution(*self.problem(case, seed),
-                                       self.schedule, self.ref_tol,
-                                       self.max_iter)
-        return self._memoized(("reference", case, seed), compute)
+        """x* of one (case, seed)."""
+        return self._memoized(("reference", case, seed), lambda:
+                              self.solve_reference(*self.problem(case, seed)))
 
+    def solve_reference(self, problem, scheme):
+        """x* by a deviation-free solve to residual ``ref_tol``."""
+        ref = solve(problem, scheme, schedule=self.schedule,
+                    stop=StopRule(tol=self.ref_tol,
+                                  max_iter=self.stop.max_iter))
+        if not ref.converged:
+            raise OracleFailureError(
+                f"reference run stalled at residual above {self.ref_tol}")
+        return ref.x
 
-def run_grid(data, cases=(1,), policies=("zero",), seeds=range(50),
-             delta=6.0, theta=1.0, schedule=None, tol=1e-8, ref_tol=1e-12,
-             max_iter=10 ** 6):
-    """Iteration-count experiment over a (case, policy) grid.
+    def run(self, cases, policies, seeds):
+        """``run_grid``'s outcomes: one per cell, by case, then policy."""
+        policies, seeds = list(policies), list(seeds)
+        outcomes = []
+        for case in cases:
+            for policy in policies:
+                try:
+                    outcomes.append(self._cell(case, policy, seeds))
+                except SplitdevError as exc:
+                    outcomes.append(exc)
+        return outcomes
 
-    For every cell and seed: draw x0 uniformly on the simplex, build the
-    problem on the given returns window, compute the reference solution x*
-    by a deviation-free run to residual ``ref_tol``, then run the policy
-    under test until ||x_n^k - x*|| < tol and record the iteration count.
-    Every solve runs under ``schedule``, by default ``ParamSchedule()``,
-    with the scheme ``chain_fb`` at ``portfolio_chain_scale(p)`` and
-    ``theta``.
-
-    Case 1 prices on the window as given.  Case 2 rebalances 20 periods
-    later: the starting allocation is the Case-1 solution for the same
-    seed, and the moments are re-estimated on the shifted window.
-
-    References do not depend on the policy: each (case, seed) reference is
-    solved once, lazily in cell order, and shared by every policy.  Returns
-    one entry per cell, ordered by case, then policy: an ExperimentReport,
-    or the SplitdevError the cell raised; a policy run that hits
-    ``max_iter`` before ``tol`` raises OracleFailureError naming its seed,
-    as a stalled reference does.  A delta that is not finite and
-    positive raises InvalidParameterError, and such a theta
-    InvalidInputError, before any cell runs.
-    """
-    cases, policies, seeds = map(list, (cases, policies, seeds))
-    schedule = schedule if schedule is not None else ParamSchedule()
-    builder = _Builder(data, delta, theta, schedule, ref_tol, max_iter)
-
-    def run_cell(case, policy):
+    def _cell(self, case, policy, seeds):
         if not seeds:
             raise InvalidParameterError("need at least one seed")
-        records = []
+        tol, records = self.stop.tol, []
         for seed in seeds:
-            problem, scheme = builder.problem(case, seed)
-            x_ref = builder.reference(case, seed)
-            run = solve(problem, scheme, schedule=schedule,
+            problem, scheme = self.problem(case, seed)
+            x_ref = self.reference(case, seed)
+            run = solve(problem, scheme, schedule=self.schedule,
                         policy=parse_policy(policy),
-                        stop=StopRule(tol=tol, max_iter=max_iter,
-                                      reference=x_ref))
+                        stop=replace(self.stop, reference=x_ref))
             if not run.converged:
                 raise OracleFailureError(
                     f"seed {seed}: policy run hit max_iter = "
@@ -403,14 +392,37 @@ def run_grid(data, cases=(1,), policies=("zero",), seeds=range(50),
                                 policy=parse_policy(policy).name, case=case,
                                 tol=tol, records=records)
 
-    outcomes = []
-    for case in cases:
-        for policy in policies:
-            try:
-                outcomes.append(run_cell(case, policy))
-            except SplitdevError as exc:
-                outcomes.append(exc)
-    return outcomes
+
+def run_grid(data, cases=(1,), policies=("zero",), seeds=range(50),
+             **options):
+    """Iteration-count experiment over a (case, policy) grid.
+
+    For every cell and seed: draw x0 uniformly on the simplex, build the
+    problem on the given returns window, compute the reference solution x*
+    by a deviation-free run to residual ``ref_tol``, then run the policy
+    under test until ||x_n^k - x*|| < tol and record the iteration count.
+
+    ``options`` are the parameters every solve shares: ``delta``,
+    ``theta``, ``schedule``, ``tol``, ``ref_tol`` and ``max_iter``, with
+    the defaults of ``_Builder``'s signature (``StopRule``'s for ``tol``
+    and ``max_iter``).  The scheme is ``chain_fb`` at
+    ``portfolio_chain_scale(p)`` and ``theta``.  A bad parameter raises
+    before any cell runs: a delta that is not finite and positive
+    InvalidParameterError; such a theta, a NaN tol or ref_tol, or a
+    max_iter that is not an integer >= 1 InvalidInputError.
+
+    Case 1 prices on the window as given.  Case 2 rebalances 20 periods
+    later: the starting allocation is the Case-1 solution for the same
+    seed, and the moments are re-estimated on the shifted window.
+
+    References do not depend on the policy: each (case, seed) reference is
+    solved once, lazily in cell order, and shared by every policy.  Returns
+    one entry per cell, ordered by case, then policy: an ExperimentReport,
+    or the SplitdevError the cell raised; a policy run that hits
+    ``max_iter`` before ``tol`` raises OracleFailureError naming its seed,
+    as a stalled reference does.
+    """
+    return _Builder(data, **options).run(cases, policies, seeds)
 
 
 def run_experiment(data, policy="zero", case=1, **options):

@@ -279,7 +279,8 @@ def check_psd_condition(S, M, C, Q, lipschitz, theta):
     of two just above their largest entry, and tol is multiplied back: the
     scaling is exact, so tol keeps its bits wherever the plain norms
     neither overflow nor underflow, and stays finite near the float
-    maximum.  A G that overflows fails before any eigensolve.  Also
+    maximum.  A G that is not finite fails before any eigensolve, and one
+    whose computed lambda_min is not finite fails as well.  Also
     requires the total sum of S (the consensus direction e^T S e) to
     vanish, to within 1e-10 (1 + ||S||_2).
     """
@@ -287,10 +288,11 @@ def check_psd_condition(S, M, C, Q, lipschitz, theta):
     MMt, K = _metric_terms(np.asarray(M, dtype=float), C, Q, lipschitz, theta)
     with np.errstate(over="ignore", invalid="ignore"):
         G = S - MMt - K
-        G = 0.5 * (G + G.T)
-    if not np.all(np.isfinite(G)):
+        G = 0.5 * G + 0.5 * G.T  # halve before adding, as build_default_S
+    lam_min = (float(np.linalg.eigvalsh(G)[0]) if np.all(np.isfinite(G))
+               else math.inf)
+    if not math.isfinite(lam_min):
         return CheckResult("psd", False, "S - M M^T - K overflows")
-    lam_min = float(np.linalg.eigvalsh(G)[0])
     terms = (S, MMt, K)
     e = math.frexp(max(float(np.abs(a).max(initial=0.0)) for a in terms))[1]
     norms = [float(np.linalg.norm(np.ldexp(a, -e), 2)) for a in terms]
@@ -555,14 +557,16 @@ def scheme_from_json(doc, lipschitz=None):
     A document holds explicit matrices (keys M, theta and optional S, C, Q,
     L) or names a builtin: {"builtin": name, ...params}.  Every other key
     goes to the builder, L as ``lipschitz``, so one the builder does not
-    take raises TypeError; a ``lipschitz`` key is refused.  ``lipschitz``
-    is the default L of an explicit document.
+    take raises TypeError; a ``lipschitz`` key and a null L are refused.
+    ``lipschitz`` is the default L of an explicit document.
     """
     if not isinstance(doc, dict):
         raise InvalidInputError("scheme document must be a JSON object")
     if "lipschitz" in doc:
         raise InvalidInputError("a scheme document names its cocoercivity "
                                 "constants L, not lipschitz")
+    if "L" in doc and doc["L"] is None:
+        raise InvalidInputError("L must be a list of constants, not null")
     params = {"lipschitz" if key == "L" else key: value
               for key, value in doc.items() if key != "builtin"}
     if "builtin" not in doc:

@@ -128,8 +128,8 @@ class StopRule:
     otherwise when the fixed-point residual drops to tol.  Residuals above
     divergence_limit abort with DivergenceError.  max_iter must be an
     integer >= 1 (an integral float such as 1e6 is taken as that int), tol
-    must not be NaN (tol <= 0 runs exactly max_iter steps) and
-    divergence_limit must be positive.
+    is read with ``float`` and must not be NaN (tol <= 0 runs exactly
+    max_iter steps) and divergence_limit must be positive.
     """
 
     tol: float = 1e-8
@@ -141,6 +141,7 @@ class StopRule:
         self.max_iter = _integer(self.max_iter, "max_iter")
         if self.max_iter < 1:
             raise InvalidInputError("max_iter must be at least 1")
+        self.tol = float(self.tol)
         if math.isnan(self.tol):
             raise InvalidInputError("tol must not be NaN")
         if not self.divergence_limit > 0:

@@ -18,6 +18,7 @@ from splitdev import (
     douglas_rachford,
     parse_policy,
     run_experiment,
+    run_grid,
     scheme_from_json,
     scheme_to_json,
     solve,
@@ -106,6 +107,19 @@ def test_validate_bad_lipschitz_exit_code(tmp_path, capsys, doc):
     assert "invalid scheme document" in captured.err
 
 
+@pytest.mark.parametrize("doc", [
+    {"M": [[1], [-1]], "theta": 1, "L": None},
+    {"builtin": "chain_fb", "n": 3, "m": 1, "L": None},
+], ids=["explicit", "builtin"])
+def test_validate_null_lipschitz_exit_code(tmp_path, capsys, doc):
+    # a null L is refused alike in both kinds of document
+    assert main(["validate", write_json(tmp_path, doc, "null_L.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("splitdev: invalid scheme document: L must be a "
+                            "list of constants, not null\n")
+
+
 @pytest.mark.parametrize("doc,message", [
     ({"M": [[1], [-1]], "theta": 1, "Theta": 5, "s": [[9, 0], [0, 9]]},
      "unexpected keyword argument 'Theta'"),
@@ -136,6 +150,16 @@ def test_validate_remainder_that_overflows_fails_its_check(tmp_path, capsys):
     failed = [c for c in report["checks"] if not c["passed"]]
     assert failed == [{"name": "psd", "passed": False, "witness": None,
                        "detail": "S - M M^T - K overflows"}]
+
+
+def test_validate_remainder_near_the_float_maximum_passes(tmp_path, capsys):
+    # G + G^T would overflow; halving first keeps G finite and exactly PSD
+    doc = {"M": [[1], [-1]], "S": [[1.7e308, -1.7e308], [-1.7e308, 1.7e308]],
+           "theta": 1}
+    assert main(["validate", write_json(tmp_path, doc, "big_S.json")]) == 0
+    report = _strict_json(capsys.readouterr().out)
+    psd = next(c for c in report["checks"] if c["name"] == "psd")
+    assert psd["passed"] is True and psd["witness"] == 0.0
 
 
 def test_readme_validate_examples_pass(tmp_path, capsys):
@@ -819,6 +843,48 @@ def test_experiment_bad_tolerance_or_delta_exit_code(
     assert calls == []
     assert not out.exists()
 
+
+def test_string_solve_keys_read_as_numbers(tmp_path):
+    # each constructor converts its own keys, so "1e-8" means 1e-8
+    written = []
+    for name, (tol, ref_tol, delta) in (("numbers", (1e-8, 1e-12, 6)),
+                                        ("strings", ("1e-8", "1e-12", "6"))):
+        out = tmp_path / name / "experiment"
+        cfg = experiment_config(tmp_path, out, seeds=[0], tol=tol,
+                                ref_tol=ref_tol, delta=delta)
+        assert main(["experiment", cfg]) == 0
+        solve_out = tmp_path / name / "solve"
+        cfg = run_config(
+            tmp_path, solve_out,
+            problem={"kind": "markowitz", "delta": delta,
+                     "data": {"synthetic": {"seed": 0, "days": 60,
+                                            "assets": 4}}},
+            stop={"tol": tol, "ref_tol": ref_tol, "reference": "auto"})
+        assert main(["solve", cfg]) == 0
+        written.append({p.relative_to(tmp_path / name): p.read_bytes()
+                        for p in (tmp_path / name).rglob("*")
+                        if p.is_file()})
+    assert written[0] == written[1]
+    assert json.loads(written[1][Path("solve", "summary.json")])["tol"] == 1e-8
+
+
+def test_experiment_without_solve_keys_runs_run_grid_defaults(tmp_path):
+    # every solve default has one home, which the CLI and run_grid share
+    out = tmp_path / "out"
+    path = experiment_config(tmp_path, out)
+    with open(path, encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    del cfg["tol"]
+    assert not {"delta", "tol", "ref_tol", "max_iter", "schedule"} & set(cfg)
+    assert main(["experiment", write_json(tmp_path, cfg, "bare.json")]) == 0
+    policies = cfg["grid"]["policies"]
+    reports = run_grid(synthetic_instance(seed=0, days=60, assets=4), [1],
+                       policies, [0, 1])
+    for report in reports:
+        base = f"case1_chain_fb_{cli._slug(report.policy)}"
+        for rec in report.records:
+            assert (out / f"traj_{base}_seed{rec.seed}.csv").read_text() == \
+                rec.trajectory.to_csv_text()
 
 
 def edited_config(tmp_path, out, command, path, value):

@@ -358,6 +358,25 @@ def test_run_grid_rejects_bad_theta_before_any_cell(monkeypatch, theta):
     assert calls == []
 
 
+@pytest.mark.parametrize("option,message", [
+    ({"tol": np.nan}, "^tol must not be NaN"),
+    ({"ref_tol": np.nan}, "^ref_tol must not be NaN"),
+    ({"max_iter": 0}, "^max_iter must be at least 1"),
+    ({"max_iter": 2.5}, "^max_iter must be an integer"),
+], ids=["tol", "ref_tol", "max_iter-0", "max_iter-fraction"])
+def test_run_grid_rejects_bad_stop_before_any_cell(monkeypatch, option,
+                                                   message):
+    calls = []
+    monkeypatch.setattr(markowitz, "solve",
+                        lambda *a, **k: calls.append(1))
+    data = synthetic_instance(seed=0, days=60, assets=4)
+    with pytest.raises(InvalidInputError, match=message):
+        run_grid(data, cases=[1, 2], policies=["zero"], seeds=[0], **option)
+    with pytest.raises(InvalidInputError, match=message):
+        run_experiment(data, seeds=[0], **option)
+    assert calls == []
+
+
 def test_run_grid_reports_failed_reference_on_every_cell():
     data = synthetic_instance(seed=0, days=60, assets=4)
     reports = run_grid(data, cases=[1, 2], policies=["zero", "momentum"],
