@@ -151,6 +151,11 @@ def _build_scheme(doc, problem, theta, scale):
     return scheme_from_json(doc, lipschitz=problem.lipschitz)
 
 
+# The keys a ``problem`` section may hold, by its kind.
+_PROBLEM_KEYS = {"markowitz": ("kind", "data", "delta", "case", "x0_seed"),
+                 "dr_quadratic": ("kind",)}
+
+
 def cmd_solve(cfg):
     cfg = _object(cfg, "run config", ("problem", "schedule", "policy", "stop",
                                       "scheme", "output_dir"))
@@ -159,9 +164,11 @@ def cmd_solve(cfg):
     options = _solve_options(cfg, _given(stop_cfg,
                                          ("tol", "max_iter", "ref_tol")))
     policy = parse_policy(cfg.get("policy", "zero"))
-    problem_cfg = _object(cfg.get("problem"), "problem",
-                          ("kind", "data", "delta", "case", "x0_seed"))
+    problem_cfg = _object(cfg.get("problem"), "problem")
     kind = problem_cfg.get("kind")
+    if kind not in _PROBLEM_KEYS:
+        raise ValueError(f"unknown problem kind {kind!r}")
+    _object(problem_cfg, "problem", _PROBLEM_KEYS[kind])
     if kind == "markowitz":
         builder = _Builder(_load_data(problem_cfg["data"]), **options,
                            **_given(problem_cfg, ("delta",)))
@@ -169,11 +176,9 @@ def cmd_solve(cfg):
             _integer(problem_cfg.get("case", 1), "case"),
             _integer(problem_cfg.get("x0_seed", 0), "x0_seed"))
         scale = portfolio_chain_scale(problem.dim)
-    elif kind == "dr_quadratic":
+    else:
         builder, problem = _Builder(None, **options), _dr_quadratic_problem()
         scheme, scale = douglas_rachford(1.0, theta=builder.theta), 1.0
-    else:
-        raise ValueError(f"unknown problem kind {kind!r}")
     if cfg.get("scheme") is not None:
         scheme = _build_scheme(cfg["scheme"], problem, builder.theta, scale)
     stop = builder.stop

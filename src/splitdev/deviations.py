@@ -32,7 +32,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(slots=True)
 class PolicyWindow:
     """What a policy is allowed to look at: the last two states.
 
@@ -50,12 +50,14 @@ def _cost_parts(u, v, gamma_next, theta, lipschitz):
     """The u term and the v term of the budget inequality's left-hand side."""
     if not 0.0 < gamma_next < 1.0:
         raise InvalidInputError("gamma must lie strictly between 0 and 1")
-    cv = (gamma_next / (1.0 - gamma_next)) * float(np.square(v).sum())
+    # np.add.reduce is what .sum() calls, without its Python wrapper
+    cv = (gamma_next / (1.0 - gamma_next)) * float(
+        np.add.reduce(np.square(v), None))
     L = np.asarray(lipschitz, dtype=float)
     cu = 0.0
     if L.size:
         cu = (gamma_next * (1.0 + theta) / 2.0) * float(
-            L @ np.square(u).sum(axis=1))
+            L @ np.add.reduce(np.square(u), 1))
     return cu, cv
 
 

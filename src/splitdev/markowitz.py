@@ -14,6 +14,7 @@ constant delta).
 """
 
 import csv
+import inspect
 import math
 from dataclasses import dataclass, field, replace
 
@@ -361,6 +362,8 @@ class _Builder:
     def run(self, cases, policies, seeds):
         """``run_grid``'s outcomes: one per cell, by case, then policy."""
         policies, seeds = list(policies), list(seeds)
+        if not seeds:
+            raise InvalidParameterError("need at least one seed")
         outcomes = []
         for case in cases:
             for policy in policies:
@@ -371,8 +374,6 @@ class _Builder:
         return outcomes
 
     def _cell(self, case, policy, seeds):
-        if not seeds:
-            raise InvalidParameterError("need at least one seed")
         tol, records = self.stop.tol, []
         for seed in seeds:
             problem, scheme = self.problem(case, seed)
@@ -407,9 +408,10 @@ def run_grid(data, cases=(1,), policies=("zero",), seeds=range(50),
     the defaults of ``_Builder``'s signature (``StopRule``'s for ``tol``
     and ``max_iter``).  The scheme is ``chain_fb`` at
     ``portfolio_chain_scale(p)`` and ``theta``.  A bad parameter raises
-    before any cell runs: a delta that is not finite and positive
-    InvalidParameterError; such a theta, a NaN tol or ref_tol, or a
-    max_iter that is not an integer >= 1 InvalidInputError.
+    before any cell runs: an empty ``seeds``, or a delta that is not finite
+    and positive, InvalidParameterError; such a theta, a NaN tol or
+    ref_tol, or a max_iter that is not an integer >= 1 InvalidInputError;
+    a keyword that is none of these TypeError.
 
     Case 1 prices on the window as given.  Case 2 rebalances 20 periods
     later: the starting allocation is the Case-1 solution for the same
@@ -422,6 +424,11 @@ def run_grid(data, cases=(1,), policies=("zero",), seeds=range(50),
     ``max_iter`` before ``tol`` raises OracleFailureError naming its seed,
     as a stalled reference does.
     """
+    known = inspect.signature(_Builder).parameters
+    for name in options:
+        if name not in known:
+            raise TypeError(
+                f"run_grid() got an unexpected keyword argument {name!r}")
     return _Builder(data, **options).run(cases, policies, seeds)
 
 

@@ -6,6 +6,7 @@ plus cocoercive operators B_1, ..., B_m accessed through plain evaluation.
 The solver looks for x with 0 in (sum_i F_i + sum_j B_j)(x).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -33,8 +34,14 @@ __all__ = [
 ]
 
 
+def _all_finite(a):
+    # exact, and half the cost of isfinite(a).all() at small sizes; a screen
+    # through a.sum() would warn where a sum of finite entries overflows
+    return np.count_nonzero(np.isfinite(a)) == a.size
+
+
 def _check_finite(name, a):
-    if not np.isfinite(a).all():
+    if not _all_finite(a):
         raise InvalidInputError(f"{name} contains non-finite entries")
 
 
@@ -61,16 +68,22 @@ def _checked_shift(lam, c, s):
     return c, s
 
 
+_ZERO = np.zeros(())  # a 0-d array makes np.maximum cheaper than 0.0 does
+
+
+# copysign(q, d) is sign(d) * q for q >= 0 except at d = -0.0, which needs
+# s = -0.0 and c = +0.0; there c plus either zero is +0.0, so both shrinks
+# give the bits of c + sign(d) * q everywhere.
 def _shrink_l1(lam, c, s):
     d = s - c
-    return c + np.sign(d) * np.maximum(np.abs(d) - lam, 0.0)
+    return c + np.copysign(np.maximum(np.abs(d) - lam, _ZERO), d)
 
 
 def _shrink_power32(lam, c, s):
     d = s - c
     half = 0.75 * lam  # (3 lam / 2) / 2
     q = np.sqrt(half * half + np.abs(d)) - half
-    return c + np.sign(d) * q * q
+    return c + np.copysign(q * q, d)
 
 
 def prox_shifted_l1(lam, c, s):
@@ -111,13 +124,26 @@ def project_simplex(s):
     s = np.asarray(s, dtype=float)
     if s.ndim != 1 or s.size == 0:
         raise ShapeError("expected a nonempty 1-D array")
-    _check_finite("s", s)
-    u = np.sort(s)[::-1]
-    css = u.cumsum() - 1.0
-    mask = u > css / np.arange(1, s.size + 1)
+    u = s.copy()
+    u.sort()  # np.sort's algorithm without its Python wrapper
+    # NaN sorts last, so s is finite exactly when both ends are
+    if not (math.isfinite(u[0]) and math.isfinite(u[-1])):
+        _check_finite("s", s)
+    u = u[::-1]
+    css = u.cumsum()
+    css -= 1.0
+    mask = u > css / _ranks(s.size)
     k = mask.nonzero()[0][-1]
     tau = css[k] / (k + 1.0)
-    return np.maximum(s - tau, 0.0)
+    return np.maximum(s - tau, _ZERO)
+
+
+@functools.lru_cache(maxsize=16)
+def _ranks(p):
+    """1.0, 2.0, ..., p as a read-only array, shared between calls."""
+    ranks = np.arange(1.0, p + 1.0)
+    ranks.flags.writeable = False
+    return ranks
 
 
 def _symmetric_psd(A, name, error):
@@ -228,17 +254,19 @@ def affine_monotone(A, b, label=""):
     while d ||A|| is moderate; accuracy degrades with cond(I + dA).
     """
     A, b = _affine_data(A, b)
-    # One (d, inverse) pair, read and replaced whole so threads stay safe.
-    kept = (None, None)
+    # One (d, inverse, d b) triple, read and replaced whole so threads stay
+    # safe; a d equal to the kept one has passed the weight check.
+    kept = (None, None, None)
 
     def resolvent(d, y):
         nonlocal kept
-        _check_weight(d)
-        kept_d, inv = kept
+        kept_d, inv, db = kept
         if kept_d != d:
+            _check_weight(d)
             inv = np.linalg.inv(np.eye(A.shape[0]) + d * A)
-            kept = (d, inv)
-        return inv @ (y - d * b)
+            db = d * b
+            kept = (d, inv, db)
+        return inv @ (y - db)
 
     return MonotoneOp(resolvent=resolvent, label=label)
 

@@ -25,6 +25,7 @@ With the zero pair this is the plain frugal iteration, and ``step`` then
 does only that iteration's arithmetic.
 """
 
+import functools
 import math
 from array import array
 from dataclasses import dataclass
@@ -40,6 +41,7 @@ from .exceptions import (
     SchemeValidationError,
     ShapeError,
 )
+from .operators import _all_finite
 from .scheme import _integer, validate
 
 __all__ = [
@@ -93,7 +95,7 @@ class ParamSchedule:
         return x
 
 
-@dataclass
+@dataclass(slots=True)
 class SolverState:
     """Everything the iteration carries from step k to step k + 1.
 
@@ -177,17 +179,20 @@ class Trajectory:
         self._columns = tuple([] if code is None else array(code)
                               for code in self._FIELDS.values())
         vars(self).update(zip(self._FIELDS, self._columns))
+        self._appends = tuple(column.append for column in self._columns)
         self.z_states = [] if record_states else None
 
     def __len__(self):
         return len(self.k)
 
     def append(self, *row):
-        if len(row) != len(self._columns):
-            raise TypeError(f"a row has {len(self._columns)} values, "
+        if len(row) != len(self._appends):
+            raise TypeError(f"a row has {len(self._appends)} values, "
                             f"got {len(row)}")
-        for column, value in zip(self._columns, row):
-            column.append(value)
+        # unrolled, one bound append per column in _FIELDS order
+        a0, a1, a2, a3, a4, a5, a6, a7, a8, a9 = self._appends
+        a0(row[0]), a1(row[1]), a2(row[2]), a3(row[3]), a4(row[4])
+        a5(row[5]), a6(row[6]), a7(row[7]), a8(row[8]), a9(row[9])
 
     def record_state(self, z):
         if self.z_states is not None:
@@ -223,11 +228,29 @@ def deviation_budget(l2, xi):
     return xi * l2
 
 
+@functools.lru_cache(maxsize=16)
+def _pairs(n):
+    """Row indices (i, j) of every pair i < j of n blocks, read-only."""
+    pairs = np.triu_indices(n, 1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
 def _block_spread(x):
+    """max_{i<j} ||x_i - x_j||; 0.0 for a single block.
+
+    Each squared distance is summed by numpy's pairwise add.reduce over the
+    block, and sqrt is monotone and correctly rounded, so the root of the
+    largest sum is the largest root.
+    """
     if x.shape[0] < 2:
         return 0.0
-    diffs = x[:, None, :] - x[None, :, :]
-    return float(np.sqrt(np.square(diffs).sum(axis=2)).max())
+    first, second = _pairs(x.shape[0])
+    diffs = x.take(first, 0)
+    diffs -= x.take(second, 0)
+    np.square(diffs, out=diffs)
+    return math.sqrt(max(np.add.reduce(diffs, 1).tolist()))
 
 
 def _residual_parts(mtx, x):
@@ -248,7 +271,7 @@ def _inner_pass(z_eff, u, problem, scheme):
 
     u is the forward-input deviation, or None for the zero one.
     """
-    x = np.zeros((scheme.n, problem.dim))
+    x = np.empty((scheme.n, problem.dim))  # row i is written before read
     acc_rows = scheme.M @ z_eff  # (n, p), row i becomes row i's accumulator
     F, B = problem.F, problem.B
     bvals = [None] * scheme.m
@@ -263,7 +286,8 @@ def _inner_pass(z_eff, u, problem, scheme):
                 w = q_row @ head
                 bvals[j] = B[j].eval(w if u is None else w + u[j])
                 n_fwd += 1
-            acc -= c_ij * bvals[j]
+            # 1.0 * b is b, bit for bit
+            acc -= bvals[j] if c_ij == 1.0 else c_ij * bvals[j]
         x[i] = F[i].resolvent(d_i, d_i * acc)
     return x, scheme.n, n_fwd
 
@@ -304,13 +328,14 @@ def step(problem, scheme, state, schedule, policy):
                                       scheme)
     else:
         x, n_res, n_fwd = _inner_pass(state.z, None, problem, scheme)
-    if not np.isfinite(x).all():
+    if not _all_finite(x):
         raise DivergenceError(f"non-finite primal sweep at step {state.k}")
     mtx = scheme.M.T @ x
     z_new = state.z - gamma_k * mtx
     dz = z_new - state.z
     shift = dz + (gamma_k / (1.0 - gamma_k)) * state.v if deviated else dz
-    l2 = ((1.0 - gamma_k) / gamma_k) * float(np.square(shift).sum())
+    l2 = ((1.0 - gamma_k) / gamma_k) * float(
+        np.add.reduce(np.square(shift), None))
     residual, spread = _residual_parts(mtx, x)
 
     budget = deviation_budget(l2, state.xi)

@@ -950,6 +950,20 @@ def test_unknown_key_exit_code_before_any_solve(tmp_path, monkeypatch, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key,value", [
+    ("data", 5), ("delta", -1), ("case", 7), ("x0_seed", 1.5)])
+def test_dr_quadratic_refuses_markowitz_keys(tmp_path, monkeypatch, capsys,
+                                             key, value):
+    # each problem kind has its own keys; dr_quadratic reads none of these
+    calls = count_solves(monkeypatch)
+    out = tmp_path / "out"
+    cfg = edited_config(tmp_path, out, "solve", ("problem", key), value)
+    assert main(["solve", cfg]) == 2
+    assert f"unknown keys in problem: ['{key}']" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("spec", [5, ["a.csv"], {"csv": "a.csv"}, None])
 def test_cli_refusals(spec):
     # data is a CSV path or {"synthetic": {...}}

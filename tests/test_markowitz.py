@@ -377,6 +377,34 @@ def test_run_grid_rejects_bad_stop_before_any_cell(monkeypatch, option,
     assert calls == []
 
 
+def test_run_grid_rejects_empty_seeds_before_any_cell(monkeypatch):
+    calls = []
+    monkeypatch.setattr(markowitz, "solve",
+                        lambda *a, **k: calls.append(1))
+    data = synthetic_instance(seed=0, days=60, assets=4)
+    with pytest.raises(InvalidParameterError,
+                       match="^need at least one seed$"):
+        run_grid(data, [1, 2], ["zero"], [])
+    with pytest.raises(InvalidParameterError,
+                       match="^need at least one seed$"):
+        run_experiment(data, seeds=[])
+    assert calls == []
+
+
+def test_run_grid_names_itself_for_an_unknown_option(monkeypatch):
+    calls = []
+    monkeypatch.setattr(markowitz, "solve",
+                        lambda *a, **k: calls.append(1))
+    data = synthetic_instance(seed=0, days=60, assets=4)
+    message = (r"^run_grid\(\) got an unexpected keyword argument "
+               r"'max_iters'$")
+    with pytest.raises(TypeError, match=message):
+        run_grid(data, [1], ["zero"], [0], max_iters=5)
+    with pytest.raises(TypeError, match=message):
+        run_experiment(data, seeds=[0], max_iters=5)
+    assert calls == []
+
+
 def test_run_grid_reports_failed_reference_on_every_cell():
     data = synthetic_instance(seed=0, days=60, assets=4)
     reports = run_grid(data, cases=[1, 2], policies=["zero", "momentum"],

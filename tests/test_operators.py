@@ -26,6 +26,7 @@ from splitdev.markowitz import (
     estimate_moments,
     synthetic_instance,
 )
+from splitdev.operators import _check_finite
 
 
 def test_prox_shifted_l1_pinned_values():
@@ -74,6 +75,47 @@ def test_prox_vectorization_matches_scalar_loop():
         batch = fn(0.7, c, s)
         loop = [fn(0.7, ci, np.array([si]))[0] for ci, si in zip(c, s)]
         np.testing.assert_allclose(batch, loop, atol=1e-14)
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+def test_finiteness_screen_is_exact():
+    # a sum of these overflows, yet every entry is finite (and no warning)
+    _check_finite("s", np.array([1e308, 1e308]))
+    prox_shifted_l1(1.0, 0.0, np.array([1e308, 1e308]))
+    for bad in ([np.nan], [np.inf], [np.inf, -np.inf],
+                [1e308, 1e308, np.nan]):
+        bad = np.array(bad)
+        for check in (lambda s: _check_finite("s", s),
+                      lambda s: prox_shifted_l1(1.0, 0.0, s),
+                      lambda s: prox_shifted_power32(1.0, 0.0, s),
+                      project_simplex):
+            with pytest.raises(InvalidInputError,
+                               match="^s contains non-finite entries$"):
+                check(bad)
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 2.0, np.float64(0.75)])
+def test_shrinks_keep_the_sign_form_bits(lam):
+    # ties at +-lam, d = 0 and signed-zero shifts, against the sign form
+    c = np.array([0.0, -0.0, 1.0, 0.25, -2.0, 0.0, -0.0])
+    points = [c + lam, c - lam, c, -c, np.zeros(7), -np.zeros(7),
+              np.array([-0.0, 0.0, 1.0 + lam, 0.25 - lam, -2.0, lam, -lam])]
+    for shift in (c, np.zeros(7), -np.zeros(7)):
+        for s in points:
+            d = s - shift
+            l1 = shift + np.sign(d) * np.maximum(np.abs(d) - lam, 0.0)
+            half = 0.75 * lam
+            q = np.sqrt(half * half + np.abs(d)) - half
+            power = shift + np.sign(d) * q * q
+            assert _bits(prox_shifted_l1(lam, shift, s)) == _bits(l1)
+            assert _bits(prox_shifted_power32(lam, shift, s)) == _bits(power)
+    # scalars stay scalars
+    assert type(prox_shifted_l1(1.0, 0.0, -0.5)) is np.float64
+    assert type(prox_shifted_power32(1.0, 0.0, -0.5)) is np.float64
 
 
 def test_project_simplex_pinned_values():

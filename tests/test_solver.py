@@ -554,6 +554,13 @@ def test_pairs_on_the_budget_boundary_are_admitted(case, seed):
 
 def _bit_identity_case(kind):
     """(problem, scheme, gamma, xi, reference) for the bit-identity test."""
+    if kind == "criterion9_chain_fb":  # criterion 9's size, p = 53
+        Lam, r = estimate_moments(synthetic_instance(seed=0, days=200,
+                                                     assets=53))
+        prob = build_problem(MarkowitzProblem(Lam, r, 6.0,
+                                              sample_simplex(53, 0)))
+        sc = chain_fb(3, 2, prob.lipschitz, scale=portfolio_chain_scale(53))
+        return prob, sc, 0.9, 0.9, sample_simplex(53, 1)
     if kind == "douglas_rachford":
         sc = douglas_rachford(gamma=1.0)
         return random_affine_problem(sc, dim=4, seed=7), sc, 0.5, 0.8, None
@@ -635,7 +642,7 @@ def _bits(value):
 
 
 @pytest.mark.parametrize("kind", ["douglas_rachford", "davis_yin",
-                                  "markowitz_chain_fb"])
+                                  "markowitz_chain_fb", "criterion9_chain_fb"])
 def test_zero_policy_matches_zeros_from_produce_bit_for_bit(kind):
     prob, sc, gamma, xi, reference = _bit_identity_case(kind)
     runs = [solve(prob, sc, schedule=ParamSchedule(gamma=gamma, xi=xi),
@@ -702,6 +709,70 @@ def test_hand_called_zero_policy_step_applies_the_incoming_pair():
                                v=np.zeros_like(state.v))
     assert not np.array_equal(step(prob, sc, bare, schedule, ZeroPolicy()).z,
                               fast.z)
+
+
+def constant_pair(row):
+    """Two resolvents that return ``row`` whatever their input."""
+    row = np.array(row)
+    op = MonotoneOp(lambda d, y: row)
+    return Problem((op, op), dim=row.size)
+
+
+def test_sweep_screen_passes_entries_whose_sum_overflows():
+    # the four entries of x sum past the float maximum; at 8e307 and with
+    # M = [1, -1]^T (gamma 2) the step's own arithmetic stays finite
+    prob = constant_pair([8e307, 8e307])
+    state = SolverState(k=0, z=np.zeros((1, 2)), x=None, u=np.zeros((0, 2)),
+                        v=np.zeros((1, 2)), l2=0.0, gamma=0.5, xi=0.0)
+    new = step(prob, douglas_rachford(2.0), state, ParamSchedule(),
+               ZeroPolicy())
+    assert np.array_equal(new.x, np.full((2, 2), 8e307))
+
+
+@pytest.mark.parametrize("row", [[np.nan], [np.inf], [np.inf, -np.inf],
+                                 [8e307, 8e307, np.nan]],
+                         ids=["nan", "inf", "inf-minus-inf", "big-nan"])
+def test_sweep_screen_rejects_every_non_finite_entry(row):
+    prob = constant_pair(row)
+    p = prob.dim
+    state = SolverState(k=0, z=np.zeros((1, p)), x=None, u=np.zeros((0, p)),
+                        v=np.zeros((1, p)), l2=0.0, gamma=0.5, xi=0.0)
+    with pytest.raises(DivergenceError,
+                       match="^non-finite primal sweep at step 0$"):
+        step(prob, douglas_rachford(1.0), state, ParamSchedule(),
+             ZeroPolicy())
+
+
+@pytest.mark.parametrize("policy", ["zero", "momentum:beta=0.5,rho=0.7",
+                                    "randball:seed=4"])
+def test_solve_calls_step_and_each_operator_once_per_iteration(
+        monkeypatch, policy):
+    # benchmark tracers wrap these by name: ``step`` through the solver's
+    # module global, the operators through problem.F and problem.B
+    prob, sc, gamma, xi, reference = _bit_identity_case("markowitz_chain_fb")
+    calls = {"step": 0}
+
+    def counted(name, fn):
+        calls[name] = 0
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(sd.solver, "step", counted("step", sd.solver.step))
+    monkeypatch.setattr(prob, "F", tuple(
+        dataclasses.replace(op, resolvent=counted(f"F{i}", op.resolvent))
+        for i, op in enumerate(prob.F)))
+    monkeypatch.setattr(prob, "B", tuple(
+        dataclasses.replace(op, eval=counted(f"B{j}", op.eval))
+        for j, op in enumerate(prob.B)))
+    res = solve(prob, sc, schedule=ParamSchedule(gamma=gamma, xi=xi),
+                policy=sd.parse_policy(policy),
+                stop=StopRule(tol=1e-10, max_iter=300, reference=reference))
+    assert res.iterations > 10
+    assert calls == dict.fromkeys(["step", "F0", "F1", "F2", "B0", "B1"],
+                                  res.iterations)
 
 
 @pytest.mark.parametrize("row", [(), (0,) * 9, (0,) * 11],
