@@ -82,9 +82,6 @@ from .solver import (
     SolverState,
     StopRule,
     Trajectory,
-    deviation_budget,
-    extract_solution,
-    fixed_point_residual,
     solve,
     step,
 )

@@ -361,9 +361,10 @@ class _Builder:
 
     def run(self, cases, policies, seeds):
         """``run_grid``'s outcomes: one per cell, by case, then policy."""
-        policies, seeds = list(policies), list(seeds)
+        seeds = list(seeds)
         if not seeds:
             raise InvalidParameterError("need at least one seed")
+        policies = [parse_policy(policy) for policy in policies]
         outcomes = []
         for case in cases:
             for policy in policies:
@@ -379,7 +380,7 @@ class _Builder:
             problem, scheme = self.problem(case, seed)
             x_ref = self.reference(case, seed)
             run = solve(problem, scheme, schedule=self.schedule,
-                        policy=parse_policy(policy),
+                        policy=policy,
                         stop=replace(self.stop, reference=x_ref))
             if not run.converged:
                 raise OracleFailureError(
@@ -390,7 +391,7 @@ class _Builder:
                 final_error=float(np.linalg.norm(run.x - x_ref)),
                 trajectory=run.trajectory))
         return ExperimentReport(scheme="chain_fb",
-                                policy=parse_policy(policy).name, case=case,
+                                policy=policy.name, case=case,
                                 tol=tol, records=records)
 
 
@@ -410,8 +411,9 @@ def run_grid(data, cases=(1,), policies=("zero",), seeds=range(50),
     ``portfolio_chain_scale(p)`` and ``theta``.  A bad parameter raises
     before any cell runs: an empty ``seeds``, or a delta that is not finite
     and positive, InvalidParameterError; such a theta, a NaN tol or
-    ref_tol, or a max_iter that is not an integer >= 1 InvalidInputError;
-    a keyword that is none of these TypeError.
+    ref_tol, a max_iter that is not an integer >= 1 or a policy that
+    ``parse_policy`` refuses InvalidInputError; a keyword that is none of
+    these TypeError.  Each policy is parsed once and reset by every solve.
 
     Case 1 prices on the window as given.  Case 2 rebalances 20 periods
     later: the starting allocation is the Case-1 solution for the same

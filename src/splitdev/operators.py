@@ -120,6 +120,8 @@ def project_simplex(s):
     Sort-and-threshold: with u the entries of s in decreasing order, find the
     largest k with u_k > (sum_{i<=k} u_i - 1)/k, set tau to that partial mean
     and clip s - tau at zero.  Exact in exact arithmetic for every p >= 1.
+    From about 2^53 up, u_1 - 1 rounds to u_1 and no k passes: an entry
+    that large raises InvalidInputError.
     """
     s = np.asarray(s, dtype=float)
     if s.ndim != 1 or s.size == 0:
@@ -132,8 +134,12 @@ def project_simplex(s):
     u = u[::-1]
     css = u.cumsum()
     css -= 1.0
-    mask = u > css / _ranks(s.size)
-    k = mask.nonzero()[0][-1]
+    passing = (u > css / _ranks(s.size)).nonzero()[0]
+    if not passing.size:
+        raise InvalidInputError(
+            "s has an entry too large in magnitude (about 2^53 or more) "
+            "to project onto the simplex in floating point")
+    k = passing[-1]
     tau = css[k] / (k + 1.0)
     return np.maximum(s - tau, _ZERO)
 
@@ -254,8 +260,8 @@ def affine_monotone(A, b, label=""):
     while d ||A|| is moderate; accuracy degrades with cond(I + dA).
     """
     A, b = _affine_data(A, b)
-    # One (d, inverse, d b) triple, read and replaced whole so threads stay
-    # safe; a d equal to the kept one has passed the weight check.
+    # One kept (d, inverse, d b) triple; a d equal to the kept one has
+    # passed the weight check.
     kept = (None, None, None)
 
     def resolvent(d, y):

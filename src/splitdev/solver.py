@@ -50,12 +50,12 @@ __all__ = [
     "StopRule",
     "Trajectory",
     "SolveResult",
-    "deviation_budget",
-    "fixed_point_residual",
-    "extract_solution",
     "step",
     "solve",
 ]
+
+# solve raises DivergenceError once the fixed-point residual exceeds this
+_DIVERGENCE_LIMIT = 1e12
 
 
 @dataclass
@@ -101,10 +101,12 @@ class SolverState:
 
     x is the primal sweep computed by the most recent step (None before the
     first step); l2 is that step's capacity l_k^2; residual and spread are
-    the two parts of its fixed-point residual, ||M^T x|| and the largest
-    distance between blocks of x (None before the first step); (u, v) is
-    the deviation pair the NEXT step will apply, already checked against
-    the budget xi_k * l_k^2 with the next gamma.
+    the two parts of its fixed-point residual max(residual, spread),
+    ||M^T x|| and the largest distance between blocks of x (None before the
+    first step); (u, v) is the deviation pair the NEXT step will apply,
+    already checked against the budget xi_k * l_k^2 with the next gamma.
+    gamma and xi are the next step's parameters, so xi_k is the xi of the
+    state the step started from.
     """
 
     k: int
@@ -127,17 +129,15 @@ class StopRule:
     """Stopping parameters for ``solve``.
 
     With a reference point the loop stops when ||x_n^k - reference|| < tol,
-    otherwise when the fixed-point residual drops to tol.  Residuals above
-    divergence_limit abort with DivergenceError.  max_iter must be an
-    integer >= 1 (an integral float such as 1e6 is taken as that int), tol
-    is read with ``float`` and must not be NaN (tol <= 0 runs exactly
-    max_iter steps) and divergence_limit must be positive.
+    otherwise when the fixed-point residual drops to tol.  max_iter must be
+    an integer >= 1 (an integral float such as 1e6 is taken as that int)
+    and tol is read with ``float`` and must not be NaN (tol <= 0 runs
+    exactly max_iter steps).
     """
 
     tol: float = 1e-8
     max_iter: int = 10 ** 6
     reference: Optional[np.ndarray] = None
-    divergence_limit: float = 1e12
 
     def __post_init__(self):
         self.max_iter = _integer(self.max_iter, "max_iter")
@@ -146,8 +146,6 @@ class StopRule:
         self.tol = float(self.tol)
         if math.isnan(self.tol):
             raise InvalidInputError("tol must not be NaN")
-        if not self.divergence_limit > 0:
-            raise InvalidInputError("divergence_limit must be positive")
 
 
 class Trajectory:
@@ -221,13 +219,6 @@ class SolveResult:
     state: SolverState
 
 
-def deviation_budget(l2, xi):
-    """Capacity the next deviation pair may spend: xi_k * l_k^2."""
-    if not 0.0 <= l2 < math.inf:
-        raise InvalidInputError(f"l2 = {l2} must be finite and nonnegative")
-    return xi * l2
-
-
 @functools.lru_cache(maxsize=16)
 def _pairs(n):
     """Row indices (i, j) of every pair i < j of n blocks, read-only."""
@@ -259,13 +250,6 @@ def _residual_parts(mtx, x):
     return math.sqrt(flat.dot(flat)), _block_spread(x)
 
 
-def fixed_point_residual(state, scheme):
-    """max(||M^T x^k||, max_{i,j} ||x_i^k - x_j^k||), zero only at consensus."""
-    if state.x is None:
-        raise InvalidInputError("no primal sweep computed yet")
-    return max(_residual_parts(scheme.M.T @ state.x, state.x))
-
-
 def _inner_pass(z_eff, u, problem, scheme):
     """One primal sweep; returns (x, resolvent_calls, forward_calls).
 
@@ -292,24 +276,13 @@ def _inner_pass(z_eff, u, problem, scheme):
     return x, scheme.n, n_fwd
 
 
-def extract_solution(z, problem, scheme):
-    """Deviation-free primal sweep at a fixed dual point z.
-
-    At a converged z all blocks of the returned sweep agree and any of them
-    solves the inclusion; useful to re-derive the solution from a stored z.
-    """
-    z = np.asarray(z, dtype=float)
-    x, _, _ = _inner_pass(z, None, problem, scheme)
-    return x
-
-
 def step(problem, scheme, state, schedule, policy):
     """Advance the iteration by one step.
 
     Returns the successor state: the new dual point, the primal sweep that
     produced it, the capacity l_k^2, and the budget-checked deviation pair
     for the next step.  Raises BudgetViolationError if the policy overspends
-    and DivergenceError on non-finite iterates.
+    and DivergenceError on a non-finite sweep or capacity.
 
     Deviation-free steps skip the deviation machinery with bit-identical
     results.  An incoming pair (state.u, state.v) that is all zeros is not
@@ -337,8 +310,10 @@ def step(problem, scheme, state, schedule, policy):
     l2 = ((1.0 - gamma_k) / gamma_k) * float(
         np.add.reduce(np.square(shift), None))
     residual, spread = _residual_parts(mtx, x)
-
-    budget = deviation_budget(l2, state.xi)
+    if not math.isfinite(l2):  # a finite sweep can still overflow l2
+        raise DivergenceError(f"non-finite capacity l2 = {l2} "
+                              f"at step {state.k}")
+    budget = state.xi * l2
     gamma_next = schedule.gamma_at(state.k + 1)
     xi_next = schedule.xi_at(state.k + 1)
     if type(policy) is ZeroPolicy:
@@ -420,9 +395,9 @@ def solve(problem, scheme, schedule=None, policy=None, stop=None, z0=None,
                     state.budget_used, state.resolvent_calls,
                     state.forward_calls, dist, gamma_k, xi_k)
         traj.record_state(state.z)
-        if not math.isfinite(fp) or fp > stop.divergence_limit:
+        if not math.isfinite(fp) or fp > _DIVERGENCE_LIMIT:
             raise DivergenceError(
-                f"residual {fp} beyond {stop.divergence_limit} "
+                f"residual {fp} beyond {_DIVERGENCE_LIMIT} "
                 f"at step {state.k - 1}")
         if (dist < stop.tol) if reference is not None else (fp <= stop.tol):
             converged = True

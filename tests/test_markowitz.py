@@ -391,6 +391,23 @@ def test_run_grid_rejects_empty_seeds_before_any_cell(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("spec,message", [
+    ("bogus", "^unknown policy 'bogus'$"),
+    ("momentum:beta=2", "^bad policy parameter: beta must lie in"),
+], ids=["unknown", "beta"])
+def test_run_grid_rejects_bad_policy_before_any_cell(monkeypatch, spec,
+                                                     message):
+    calls = []
+    monkeypatch.setattr(markowitz, "solve",
+                        lambda *a, **k: calls.append(1))
+    data = synthetic_instance(seed=0, days=60, assets=4)
+    with pytest.raises(InvalidInputError, match=message):
+        run_grid(data, cases=[1, 2], policies=["zero", spec], seeds=[0])
+    with pytest.raises(InvalidInputError, match=message):
+        run_experiment(data, policy=spec, seeds=[0])
+    assert calls == []
+
+
 def test_run_grid_names_itself_for_an_unknown_option(monkeypatch):
     calls = []
     monkeypatch.setattr(markowitz, "solve",

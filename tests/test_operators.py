@@ -138,6 +138,15 @@ def test_project_simplex_matches_kkt_oracle():
         assert got.min() >= 0.0
 
 
+def test_project_simplex_refuses_entries_past_float_resolution():
+    # from about 2^53 up u_1 - 1 rounds to u_1, so no threshold index passes
+    for s in ([1e17], [3e16, 1.0, 2.0], [-1e17, -1e17], [9.1e15, 0.0]):
+        with pytest.raises(InvalidInputError, match="too large in magnitude"):
+            project_simplex(np.array(s))
+    np.testing.assert_array_equal(project_simplex(np.array([8e15, 0.0])),
+                                  [1.0, 0.0])
+
+
 def test_affine_cocoercive_eval_pinned_values():
     def grad(A, b, x):
         return affine_cocoercive(A, b, lipschitz=10.0).eval(np.array(x))

@@ -28,11 +28,8 @@ from splitdev import (
     affine_monotone,
     chain_fb,
     davis_yin,
-    deviation_budget,
     deviation_cost,
     douglas_rachford,
-    extract_solution,
-    fixed_point_residual,
     solve,
     zero_monotone,
 )
@@ -127,16 +124,6 @@ deviation_policies = st.one_of(
     st.builds(BoundaryPolicy, seed=st.integers(0, 2 ** 16)))
 
 
-def test_deviation_budget_pinned():
-    assert deviation_budget(9.0, 1.0 / 3.0) == pytest.approx(3.0)
-    assert deviation_budget(5.0, 0.0) == 0.0
-    assert deviation_budget(1.0 / 9.0, 0.9) == pytest.approx(0.1)
-    with pytest.raises(InvalidInputError):
-        deviation_budget(-1.0, 0.5)
-    with pytest.raises(InvalidInputError):
-        deviation_budget(np.nan, 0.5)
-
-
 def test_param_schedule_validation():
     sched = ParamSchedule(gamma=0.9, xi=0.9, epsilon=1e-3)
     assert sched.gamma_at(0) == 0.9
@@ -176,9 +163,6 @@ def test_stop_rule_reads_max_iter_as_an_integer():
 def test_stop_rule_rejects_nan_tolerances():
     with pytest.raises(InvalidInputError, match="tol"):
         StopRule(tol=math.nan)
-    for limit in (math.nan, 0.0, -1.0):
-        with pytest.raises(InvalidInputError, match="divergence_limit"):
-            StopRule(divergence_limit=limit)
     # tol <= 0 stays legal: it runs exactly max_iter steps
     stop = StopRule(tol=-1.0, max_iter=7)
     res = solve(quadratic_pair(), douglas_rachford(gamma=1.0), stop=stop)
@@ -188,25 +172,36 @@ def test_stop_rule_rejects_nan_tolerances():
         solve(quadratic_pair(), douglas_rachford(gamma=1.0), stop=stop)
 
 
+def first_step(problem):
+    """One hand-called zero-policy step of douglas_rachford(1.0) from z = 0."""
+    state = SolverState(k=0, z=np.zeros((1, 1)), x=None, u=np.zeros((0, 1)),
+                        v=np.zeros((1, 1)), l2=0.0, gamma=0.5, xi=0.5)
+    return step(problem, douglas_rachford(gamma=1.0), state,
+                ParamSchedule(gamma=0.5, xi=0.5), ZeroPolicy())
+
+
 def test_fixed_point_residual_pinned():
-    sc = douglas_rachford(gamma=1.0)
-    exact = SolverState(k=1, z=np.zeros((1, 1)),
-                        x=np.zeros((2, 1)), u=np.zeros((0, 1)),
-                        v=np.zeros((1, 1)), l2=0.0, gamma=0.5, xi=0.5)
-    assert fixed_point_residual(exact, sc) == 0.0
+    # the fixed-point residual is max(residual, spread) of the sweep
+    exact = first_step(constant_pair([0.0]))
+    assert (exact.residual, exact.spread) == (0.0, 0.0)
     # consensus blocks cancel in M^T x up to dot-product round-off
-    consensus = SolverState(k=1, z=np.zeros((1, 1)),
-                            x=np.full((2, 1), 3.7), u=np.zeros((0, 1)),
-                            v=np.zeros((1, 1)), l2=0.0, gamma=0.5, xi=0.5)
-    assert fixed_point_residual(consensus, sc) < 1e-14
-    split = SolverState(k=1, z=np.zeros((1, 1)),
-                        x=np.array([[1.0], [0.0]]), u=np.zeros((0, 1)),
-                        v=np.zeros((1, 1)), l2=0.0, gamma=0.5, xi=0.5)
-    assert fixed_point_residual(split, sc) == pytest.approx(np.sqrt(2.0))
-    fresh = SolverState(k=0, z=np.zeros((1, 1)), x=None, u=np.zeros((0, 1)),
-                        v=np.zeros((1, 1)), l2=0.0, gamma=0.5, xi=0.5)
-    with pytest.raises(InvalidInputError):
-        fixed_point_residual(fresh, sc)
+    consensus = first_step(constant_pair([3.7]))
+    assert consensus.residual < 1e-14 and consensus.spread == 0.0
+    split = first_step(constant_pair([1.0], [0.0]))
+    assert split.residual == pytest.approx(np.sqrt(2.0))
+    assert split.spread == 1.0
+
+
+def test_capacity_overflow_is_divergence():
+    # a finite sweep whose capacity l2 overflows diverged; it is no bad input
+    prob = constant_pair([1e200], [-1e200])
+    with np.errstate(over="ignore"):
+        for spec in ("zero", "randball:seed=1"):
+            with pytest.raises(DivergenceError, match="capacity"):
+                solve(prob, douglas_rachford(gamma=1.0),
+                      policy=sd.parse_policy(spec))
+        with pytest.raises(DivergenceError, match="capacity"):
+            first_step(prob)
 
 
 def test_single_step_matches_hand_computed_dr():
@@ -443,17 +438,6 @@ def test_dr_step_oracle_pinned():
     ident = zero_monotone().resolvent
     _, _, z_next = dr_step(np.full(3, 0.2), 1.0, 1.0, ident, ident)
     np.testing.assert_allclose(z_next, np.full(3, 0.2))
-
-
-def test_extract_solution_consistent_with_converged_run():
-    prob = random_affine_problem(chain_fb(3, 2, lipschitz=np.ones(2)),
-                                 dim=4, seed=3)
-    sc = chain_fb(3, 2, lipschitz=prob.lipschitz)
-    res = solve(prob, sc, stop=StopRule(tol=1e-10))
-    x = extract_solution(res.state.z, prob, sc)
-    assert np.abs(x - res.x).max() < 1e-8
-    # every block agrees near the fixed point
-    assert np.abs(x - x[0]).max() < 1e-8
 
 
 def test_trajectory_csv_layout():
@@ -711,11 +695,13 @@ def test_hand_called_zero_policy_step_applies_the_incoming_pair():
                               fast.z)
 
 
-def constant_pair(row):
-    """Two resolvents that return ``row`` whatever their input."""
+def constant_pair(row, second=None):
+    """Two resolvents that return ``row`` and ``second`` (default ``row``)
+    whatever their input."""
     row = np.array(row)
-    op = MonotoneOp(lambda d, y: row)
-    return Problem((op, op), dim=row.size)
+    second = row if second is None else np.array(second)
+    return Problem((MonotoneOp(lambda d, y: row),
+                    MonotoneOp(lambda d, y: second)), dim=row.size)
 
 
 def test_sweep_screen_passes_entries_whose_sum_overflows():
