@@ -32,12 +32,7 @@ from .exceptions import (
     SchemeValidationError,
     SplitdevError,
 )
-from .markowitz import (
-    _Builder,
-    load_returns_csv,
-    portfolio_chain_scale,
-    synthetic_instance,
-)
+from .markowitz import _Builder, load_returns_csv, synthetic_instance
 from .operators import MonotoneOp, Problem
 from .scheme import _integer, douglas_rachford, scheme_from_json, validate
 from .solver import ParamSchedule, solve
@@ -161,6 +156,9 @@ def cmd_solve(cfg):
                                       "scheme", "output_dir"))
     stop_cfg = _object(cfg.get("stop"), "stop",
                        ("tol", "max_iter", "ref_tol", "reference"))
+    if stop_cfg.get("reference") not in (None, "auto"):
+        raise ValueError('stop.reference must be "auto" or absent, got '
+                         f'{stop_cfg["reference"]!r}')
     options = _solve_options(cfg, _given(stop_cfg,
                                          ("tol", "max_iter", "ref_tol")))
     policy = parse_policy(cfg.get("policy", "zero"))
@@ -172,10 +170,9 @@ def cmd_solve(cfg):
     if kind == "markowitz":
         builder = _Builder(_load_data(problem_cfg["data"]), **options,
                            **_given(problem_cfg, ("delta",)))
-        problem, scheme = builder.problem(
-            _integer(problem_cfg.get("case", 1), "case"),
-            _integer(problem_cfg.get("x0_seed", 0), "x0_seed"))
-        scale = portfolio_chain_scale(problem.dim)
+        problem, scheme = builder.problem(problem_cfg.get("case", 1),
+                                          problem_cfg.get("x0_seed", 0))
+        scale = builder.scale(problem.dim)
     else:
         builder, problem = _Builder(None, **options), _dr_quadratic_problem()
         scheme, scale = douglas_rachford(1.0, theta=builder.theta), 1.0
@@ -224,21 +221,19 @@ def cmd_experiment(cfg):
     builder = _Builder(_load_data(cfg["data"]), **_solve_options(
         cfg, _given(cfg, ("delta", "tol", "ref_tol", "max_iter"))))
     grid = _object(cfg.get("grid"), "grid", ("cases", "schemes", "policies"))
-    cases = [_integer(c, "case") for c in grid.get("cases", [1])]
-    if grid.get("schemes", ["chain_fb"]) != ["chain_fb"]:
-        raise ValueError('grid.schemes must be ["chain_fb"] or absent')
-    policies = list(grid.get("policies", ["zero"]))
-    seeds_cfg = cfg.get("seeds")
-    if seeds_cfg is None or isinstance(seeds_cfg, dict):
-        seeds_cfg = _object(seeds_cfg, "seeds", ("start", "count"))
+    scheme_name = builder.scheme_name
+    if grid.get("schemes", [scheme_name]) != [scheme_name]:
+        raise ValueError(f'grid.schemes must be ["{scheme_name}"] or absent')
+    seeds = cfg.get("seeds")
+    if seeds is None or isinstance(seeds, dict):
+        seeds_cfg = _object(seeds, "seeds", ("start", "count"))
         start = _integer(seeds_cfg.get("start", 0), "seeds.start")
-        seeds = list(range(start, start + _integer(
-            seeds_cfg.get("count", 50), "seeds.count")))
-    else:
-        seeds = [_integer(s, "seed") for s in seeds_cfg]
-    if not seeds or not cases or not policies:
-        raise ValueError("experiment grid is empty")
-    policy_names = [parse_policy(policy).name for policy in policies]
+        seeds = range(start, start + _integer(seeds_cfg.get("count", 50),
+                                              "seeds.count"))
+    cases, policies, seeds = builder.axes(
+        case=grid.get("cases", [1]), policy=grid.get("policies", ["zero"]),
+        seed=seeds)
+    policy_names = [policy.name for policy in policies]
     for what, keys in (("case", cases), ("policy", policy_names)):
         dup = next((k for i, k in enumerate(keys) if k in keys[:i]), None)
         if dup is not None:
@@ -255,14 +250,14 @@ def cmd_experiment(cfg):
                    "n_seeds"])
     n_failed = 0
     for (case, policy_name), report in zip(cells, outcomes):
-        base = f"case{case}_chain_fb_{_slug(policy_name)}"
+        base = f"case{case}_{scheme_name}_{_slug(policy_name)}"
         if isinstance(report, SplitdevError):
             n_failed += 1
-            rows.writerow([case, "chain_fb", policy_name, "", "", 0])
+            rows.writerow([case, scheme_name, policy_name, "", "", 0])
             error = f"{type(report).__name__}: {report}"
             _write_atomic(os.path.join(out_dir, f"cell_{base}.json"),
                           _dump_json({"status": "failed", "error": error,
-                                      "case": case, "scheme": "chain_fb",
+                                      "case": case, "scheme": scheme_name,
                                       "policy": policy_name}))
             continue
         summary = report.summary_dict()

@@ -162,7 +162,7 @@ class RandomBallPolicy(DeviationPolicy):
         g = self._rng.standard_normal(shape)
         flat = g.ravel()
         norm = math.sqrt(flat.dot(flat))
-        if norm == 0.0 or g.size == 0:
+        if norm == 0.0:  # an empty draw included
             return np.zeros(shape)
         radius = self._rng.uniform() ** (1.0 / g.size)
         return (radius / norm) * g

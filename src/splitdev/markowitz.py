@@ -237,8 +237,6 @@ def build_problem(mp):
 class RunRecord:
     seed: int
     iterations: int
-    converged: bool
-    final_error: float
     trajectory: object = field(repr=False, default=None)
 
 
@@ -298,12 +296,15 @@ class _Builder:
     ``_Builder(None, ...)`` holds the solve parameters alone.
 
     Moments are built once per case, problems and references once per
-    (case, seed).  Every problem gets ``chain_fb`` at
-    ``portfolio_chain_scale(p)``.  A case-2 problem starts from the case-1
+    (case, seed).  Every problem gets the grid's one scheme, named
+    ``scheme_name``, at ``scale(p)``.  A case-2 problem starts from the case-1
     reference of its seed (the presolve); building a problem solves no
     other reference.  A build or solve that raised raises the same error on
     every later request.
     """
+
+    scheme_name = "chain_fb"  # the grid's one scheme, built at scale(p)
+    scale = staticmethod(portfolio_chain_scale)
 
     def __init__(self, data, delta=6.0, theta=1.0, schedule=None,
                  tol=StopRule.tol, ref_tol=1e-12, max_iter=StopRule.max_iter):
@@ -315,6 +316,16 @@ class _Builder:
         self.ref_tol = float(ref_tol)
         if math.isnan(self.ref_tol):
             raise InvalidInputError("ref_tol must not be NaN")
+
+    def axes(self, **axes):
+        """The given grid axes as lists, in order: ``case`` and ``seed`` read
+        by ``_integer``, ``policy`` by ``parse_policy``; none may be empty."""
+        for what, values in axes.items():
+            axes[what] = [parse_policy(value) if what == "policy"
+                          else _integer(value, what) for value in values]
+            if not axes[what]:
+                raise InvalidParameterError(f"need at least one {what}")
+        return axes.values()
 
     def _memoized(self, key, compute):
         if key not in self._memo:
@@ -334,6 +345,7 @@ class _Builder:
 
     def problem(self, case, seed):
         """(problem, scheme) of one (case, seed)."""
+        [case], [seed] = self.axes(case=[case], seed=[seed])
         def compute():
             moments = self.moments(case)  # checked before any presolve
             x0 = (sample_simplex(self.data.assets, seed) if case == 1
@@ -341,7 +353,7 @@ class _Builder:
             problem = build_problem(MarkowitzProblem(*moments, self.delta, x0))
             return problem, chain_fb(
                 problem.n, problem.m, problem.lipschitz, theta=self.theta,
-                scale=portfolio_chain_scale(problem.dim))
+                scale=self.scale(problem.dim))
         return self._memoized(("problem", case, seed), compute)
 
     def reference(self, case, seed):
@@ -361,10 +373,8 @@ class _Builder:
 
     def run(self, cases, policies, seeds):
         """``run_grid``'s outcomes: one per cell, by case, then policy."""
-        seeds = list(seeds)
-        if not seeds:
-            raise InvalidParameterError("need at least one seed")
-        policies = [parse_policy(policy) for policy in policies]
+        cases, policies, seeds = self.axes(case=cases, policy=policies,
+                                           seed=seeds)
         outcomes = []
         for case in cases:
             for policy in policies:
@@ -379,20 +389,16 @@ class _Builder:
         for seed in seeds:
             problem, scheme = self.problem(case, seed)
             x_ref = self.reference(case, seed)
-            run = solve(problem, scheme, schedule=self.schedule,
-                        policy=policy,
+            run = solve(problem, scheme, schedule=self.schedule, policy=policy,
                         stop=replace(self.stop, reference=x_ref))
             if not run.converged:
                 raise OracleFailureError(
                     f"seed {seed}: policy run hit max_iter = "
                     f"{run.iterations} at distance above tol = {tol}")
-            records.append(RunRecord(
-                seed=seed, iterations=run.iterations, converged=run.converged,
-                final_error=float(np.linalg.norm(run.x - x_ref)),
-                trajectory=run.trajectory))
-        return ExperimentReport(scheme="chain_fb",
-                                policy=policy.name, case=case,
-                                tol=tol, records=records)
+            records.append(RunRecord(seed=seed, iterations=run.iterations,
+                                     trajectory=run.trajectory))
+        return ExperimentReport(scheme=self.scheme_name, policy=policy.name,
+                                case=case, tol=tol, records=records)
 
 
 def run_grid(data, cases=(1,), policies=("zero",), seeds=range(50),
@@ -409,11 +415,12 @@ def run_grid(data, cases=(1,), policies=("zero",), seeds=range(50),
     the defaults of ``_Builder``'s signature (``StopRule``'s for ``tol``
     and ``max_iter``).  The scheme is ``chain_fb`` at
     ``portfolio_chain_scale(p)`` and ``theta``.  A bad parameter raises
-    before any cell runs: an empty ``seeds``, or a delta that is not finite
-    and positive, InvalidParameterError; such a theta, a NaN tol or
-    ref_tol, a max_iter that is not an integer >= 1 or a policy that
-    ``parse_policy`` refuses InvalidInputError; a keyword that is none of
-    these TypeError.  Each policy is parsed once and reset by every solve.
+    before any cell runs: an empty axis, or a delta that is not finite and
+    positive, InvalidParameterError; such a theta, a bool or fractional
+    case or seed, a NaN tol or ref_tol, a max_iter that is not an integer
+    >= 1 or a policy that ``parse_policy`` refuses InvalidInputError; a
+    keyword that is none of these TypeError.  A case other than 1 or 2
+    fails its own cells.  Each policy is parsed once, reset by every solve.
 
     Case 1 prices on the window as given.  Case 2 rebalances 20 periods
     later: the starting allocation is the Case-1 solution for the same

@@ -229,14 +229,12 @@ def _pairs(n):
 
 
 def _block_spread(x):
-    """max_{i<j} ||x_i - x_j||; 0.0 for a single block.
+    """max_{i<j} ||x_i - x_j|| over the n >= 2 blocks of x.
 
     Each squared distance is summed by numpy's pairwise add.reduce over the
     block, and sqrt is monotone and correctly rounded, so the root of the
     largest sum is the largest root.
     """
-    if x.shape[0] < 2:
-        return 0.0
     first, second = _pairs(x.shape[0])
     diffs = x.take(first, 0)
     diffs -= x.take(second, 0)

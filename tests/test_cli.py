@@ -720,6 +720,31 @@ def test_solve_infinite_tolerance_exit_code(tmp_path, monkeypatch, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("reference", [[0.0], "yes please"],
+                         ids=["list", "string"])
+def test_solve_refuses_a_reference_other_than_auto(tmp_path, monkeypatch,
+                                                   capsys, reference):
+    calls = count_solves(monkeypatch)
+    out = tmp_path / "out"
+    stop = {"tol": 1e-8, "reference": reference}
+    assert main(["solve", run_config(tmp_path, out, stop=stop)]) == 2
+    assert 'stop.reference must be "auto" or absent, got' in \
+        capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
+def test_solve_null_reference_is_no_reference(tmp_path):
+    summaries = []
+    for name, stop in (("absent", {"tol": 1e-8}),
+                       ("null", {"tol": 1e-8, "reference": None})):
+        out = tmp_path / name
+        assert main(["solve", run_config(tmp_path, out, stop=stop)]) == 0
+        summaries.append((out / "summary.json").read_text())
+    assert summaries[0] == summaries[1]
+    assert "final_dist_to_ref" not in summaries[0]
+
+
 FRACTIONAL_INTEGERS = [
     ("solve", ("stop", "max_iter"), 3.7),
     ("solve", ("problem", "case"), 1.5),

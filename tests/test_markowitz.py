@@ -1,5 +1,7 @@
 """Portfolio experiment: ingestion, moments, splitting, seeds, references."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -242,8 +244,7 @@ def test_run_experiment_case1_small():
     assert rep.scheme == "chain_fb"
     assert rep.policy == "zero"
     assert rep.seeds == [0, 1, 2]
-    assert all(rec.converged for rec in rep.records)
-    assert all(rec.final_error < 1e-8 for rec in rep.records)
+    assert all(rec.trajectory.dist_to_ref[-1] < 1e-8 for rec in rep.records)
     assert all(it > 0 for it in rep.iterations)
     assert rep.mean_iters == pytest.approx(np.mean(rep.iterations))
     summary = rep.summary_dict()
@@ -254,14 +255,14 @@ def test_run_experiment_case2_rebalances():
     data = synthetic_instance(seed=0, days=80, assets=5)
     rep = run_experiment(data, policy="zero", case=2, seeds=[1])
     assert rep.case == 2
-    assert rep.records[0].converged
+    assert rep.records[0].trajectory.dist_to_ref[-1] < 1e-8
 
 
 def test_run_experiment_momentum_converges():
     data = synthetic_instance(seed=0, days=80, assets=5)
     rep = run_experiment(data, policy="momentum:beta=0.35,rho=0.05",
                          case=1, seeds=[0, 1])
-    assert all(rec.converged for rec in rep.records)
+    assert all(rec.trajectory.dist_to_ref[-1] < 1e-8 for rec in rep.records)
     assert rep.policy.startswith("momentum")
 
 
@@ -323,7 +324,6 @@ def test_run_grid_matches_run_experiment_per_cell():
             (alone.case, alone.scheme, alone.policy)
         assert rep.iterations == alone.iterations
         for got, want in zip(rep.records, alone.records):
-            assert got.final_error == want.final_error
             assert got.trajectory.to_csv_text() == \
                 want.trajectory.to_csv_text()
     momentum_case2 = reports[4]
@@ -391,6 +391,46 @@ def test_run_grid_rejects_empty_seeds_before_any_cell(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("axis,values,alone,error,message", [
+    ("cases", [True], {"case": True}, InvalidInputError,
+     "^case must be an integer, got True$"),
+    ("seeds", [True], {"seeds": [True]}, InvalidInputError,
+     "^seed must be an integer, got True$"),
+    ("seeds", [0.5], {"seeds": [0.5]}, InvalidInputError,
+     "^seed must be an integer, got 0.5$"),
+    ("cases", [], None, InvalidParameterError, "^need at least one case$"),
+    ("policies", [], None, InvalidParameterError,
+     "^need at least one policy$"),
+], ids=["case-bool", "seed-bool", "seed-fraction", "no-case", "no-policy"])
+def test_run_grid_rejects_bad_axis_before_any_cell(monkeypatch, axis, values,
+                                                   alone, error, message):
+    calls = []
+    monkeypatch.setattr(markowitz, "solve",
+                        lambda *a, **k: calls.append(1))
+    data = synthetic_instance(seed=0, days=60, assets=4)
+    grid = {"cases": [1, 2], "policies": ["zero"], "seeds": [0],
+            axis: values}
+    with pytest.raises(error, match=message):
+        run_grid(data, **grid)
+    if alone is not None:  # run_experiment has this axis
+        with pytest.raises(error, match=message):
+            run_experiment(data, **{"seeds": [0], **alone})
+    assert calls == []
+
+
+@pytest.mark.parametrize("axis,given,read", [
+    ("cases", [1.0], [1]), ("seeds", ["3"], [3])], ids=["case", "seed"])
+def test_run_grid_reads_integral_cases_and_seeds(axis, given, read):
+    data = synthetic_instance(seed=0, days=60, assets=4)
+    [got], [want] = (run_grid(data, **{"cases": [1], "seeds": [0],
+                                       axis: values})
+                     for values in (given, read))
+    # json.dumps tells a case of 1.0 from 1
+    assert json.dumps(got.summary_dict()) == json.dumps(want.summary_dict())
+    assert [rec.trajectory.to_csv_text() for rec in got.records] == \
+        [rec.trajectory.to_csv_text() for rec in want.records]
+
+
 @pytest.mark.parametrize("spec,message", [
     ("bogus", "^unknown policy 'bogus'$"),
     ("momentum:beta=2", "^bad policy parameter: beta must lie in"),
@@ -438,7 +478,8 @@ def test_censored_policy_run_fails_its_cell():
     data = synthetic_instance(seed=0, days=60, assets=4)
     options = dict(seeds=[0, 1], ref_tol=1e-6, max_iter=3000)
     zero = run_experiment(data, policy="zero", **options)
-    assert [rec.converged for rec in zero.records] == [True, True]
+    assert [rec.trajectory.dist_to_ref[-1] < 1e-8
+            for rec in zero.records] == [True, True]
     with pytest.raises(OracleFailureError, match="seed 0: policy run hit "
                        "max_iter = 3000"):
         run_experiment(data, policy="momentum:beta=0.35,rho=0.05", **options)
