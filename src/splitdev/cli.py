@@ -34,7 +34,8 @@ from .exceptions import (
 )
 from .markowitz import _Builder, load_returns_csv, synthetic_instance
 from .operators import MonotoneOp, Problem
-from .scheme import _integer, douglas_rachford, scheme_from_json, validate
+from .scheme import (_integer, _real, douglas_rachford, scheme_from_json,
+                     validate)
 from .solver import ParamSchedule, solve
 
 EXIT_OK = 0
@@ -126,7 +127,7 @@ def _solve_options(cfg, given):
     """``_Builder``'s keywords: the ``given`` solve keys, and the schedule
     section, whose theta is that of the schemes the CLI builds."""
     for key in ("tol", "ref_tol"):  # JSON could not write such a value back
-        if key in given and not math.isfinite(float(given[key])):
+        if key in given and not math.isfinite(_real(given[key], key)):
             raise InvalidInputError(f"{key} must not be NaN or infinite")
     schedule = dict(_object(cfg.get("schedule"), "schedule"))
     if "theta" in schedule:
@@ -227,12 +228,13 @@ def cmd_experiment(cfg):
     seeds = cfg.get("seeds")
     if seeds is None or isinstance(seeds, dict):
         seeds_cfg = _object(seeds, "seeds", ("start", "count"))
-        start = _integer(seeds_cfg.get("start", 0), "seeds.start")
-        seeds = range(start, start + _integer(seeds_cfg.get("count", 50),
-                                              "seeds.count"))
+        start = _integer(seeds_cfg.get("start", builder.seeds.start),
+                         "seeds.start")
+        seeds = range(start, start + _integer(
+            seeds_cfg.get("count", len(builder.seeds)), "seeds.count"))
     cases, policies, seeds = builder.axes(
-        case=grid.get("cases", [1]), policy=grid.get("policies", ["zero"]),
-        seed=seeds)
+        case=grid.get("cases", builder.cases),
+        policy=grid.get("policies", builder.policies), seed=seeds)
     policy_names = [policy.name for policy in policies]
     for what, keys in (("case", cases), ("policy", policy_names)):
         dup = next((k for i, k in enumerate(keys) if k in keys[:i]), None)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidInputError
-from .scheme import _integer
+from .scheme import _natural, _real
 
 __all__ = [
     "PolicyWindow",
@@ -121,7 +121,7 @@ class MomentumPolicy(DeviationPolicy):
     """
 
     def __init__(self, beta=0.5, rho=0.7):
-        self.beta, self.rho = float(beta), float(rho)
+        self.beta, self.rho = _real(beta, "beta"), _real(rho, "rho")
         if not 0.0 <= self.beta <= 1.0:
             raise InvalidInputError("beta must lie in [0, 1]")
         if not 0.0 <= self.rho <= 1.0:
@@ -148,7 +148,7 @@ class RandomBallPolicy(DeviationPolicy):
     """
 
     def __init__(self, seed=0):
-        self.seed = _integer(seed, "seed")
+        self.seed = _natural(seed, "seed")
         self._rng = np.random.default_rng(self.seed)
 
     @property

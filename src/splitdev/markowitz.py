@@ -16,6 +16,7 @@ constant delta).
 import csv
 import inspect
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -41,8 +42,8 @@ from .operators import (
     estimate_cocoercivity,
     project_simplex,
 )
-from .scheme import _integer, _positive, chain_fb
-from .solver import ParamSchedule, StopRule, solve
+from .scheme import _all_finite, _integer, _natural, _positive, chain_fb
+from .solver import ParamSchedule, StopRule, _tolerance, solve
 
 __all__ = [
     "MarketData",
@@ -72,7 +73,7 @@ class MarketData:
         r = np.asarray(self.returns, dtype=float)
         if r.ndim != 2 or r.shape[0] < 1 or r.shape[1] < 1:
             raise ShapeError("returns must be a T x p matrix")
-        if not np.all(np.isfinite(r)):
+        if not _all_finite(r):
             raise CsvParseError("returns contain non-finite values")
         object.__setattr__(self, "returns", r)
 
@@ -129,8 +130,9 @@ def shift_window(data, shift=20):
     """Drop the first ``shift`` rows and repeat the final ``shift`` rows.
 
     Produces an equally long window placed ``shift`` periods later, using
-    the tail as a synthetic continuation.
+    the tail as a synthetic continuation.  ``shift`` is an integer.
     """
+    shift = _integer(shift, "shift")
     if not 0 < shift < data.days:
         raise InvalidParameterError(
             f"shift must lie in (0, {data.days}), got {shift}")
@@ -139,8 +141,8 @@ def shift_window(data, shift=20):
 
 
 def sample_simplex(p, seed):
-    """Uniform draw from the probability simplex (normalized exponentials)."""
-    rng = np.random.default_rng(seed)
+    """Uniform simplex draw (normalized exponentials); seed an int >= 0."""
+    rng = np.random.default_rng(_natural(seed, "seed"))
     e = rng.standard_exponential(p)
     return e / e.sum()
 
@@ -150,10 +152,10 @@ def synthetic_instance(seed, days=200, assets=53, factors=3):
 
     returns = drift + factor_paths @ loadings' + noise with idiosyncratic
     sigma = 0.01, calibrated so covariances land in the range of daily
-    equity data.  Each argument is an integer (``scheme._integer``).
+    equity data.  Each argument is an integer, ``seed`` and ``factors`` >= 0.
     """
-    seed, days, assets, factors = map(_integer, (seed, days, assets, factors),
-                                      ("seed", "days", "assets", "factors"))
+    seed, factors = _natural(seed, "seed"), _natural(factors, "factors")
+    days, assets = _integer(days, "days"), _integer(assets, "assets")
     if days < 2 or assets < 1:
         raise InvalidParameterError("need days >= 2 and assets >= 1")
     rng = np.random.default_rng(seed)
@@ -184,8 +186,7 @@ class MarkowitzProblem:
         p = Lam.shape[0]
         if r.shape != (p,) or x0.shape != (p,):
             raise ShapeError("r and x0 must match the side of Lambda")
-        if not np.all(np.isfinite(Lam)) or not np.all(np.isfinite(r)) \
-                or not np.all(np.isfinite(x0)):
+        if not (_all_finite(Lam) and _all_finite(r) and _all_finite(x0)):
             raise InvalidParameterError("non-finite model data")
         # the gradient of 0.5 x' Lambda x sees only the symmetric part
         Lam = _symmetric_psd(Lam, "Lambda", InvalidParameterError)[0]
@@ -305,6 +306,7 @@ class _Builder:
 
     scheme_name = "chain_fb"  # the grid's one scheme, built at scale(p)
     scale = staticmethod(portfolio_chain_scale)
+    cases, policies, seeds = (1,), ("zero",), range(50)  # the default axes
 
     def __init__(self, data, delta=6.0, theta=1.0, schedule=None,
                  tol=StopRule.tol, ref_tol=1e-12, max_iter=StopRule.max_iter):
@@ -313,16 +315,20 @@ class _Builder:
         self.theta = _positive(theta, "theta", InvalidInputError)
         self.schedule = schedule if schedule is not None else ParamSchedule()
         self.stop = StopRule(tol=tol, max_iter=max_iter)
-        self.ref_tol = float(ref_tol)
-        if math.isnan(self.ref_tol):
-            raise InvalidInputError("ref_tol must not be NaN")
+        self.ref_tol = _tolerance(ref_tol, "ref_tol")
 
     def axes(self, **axes):
-        """The given grid axes as lists, in order: ``case`` and ``seed`` read
-        by ``_integer``, ``policy`` by ``parse_policy``; none may be empty."""
+        """The given grid axes as lists, in order: ``case`` read by
+        ``_integer``, ``seed`` by ``_natural``, ``policy`` by ``parse_policy``;
+        each a nonempty iterable, not a string, bytes or a mapping."""
+        read = {"case": _integer, "seed": _natural,
+                "policy": lambda value, _: parse_policy(value)}
         for what, values in axes.items():
-            axes[what] = [parse_policy(value) if what == "policy"
-                          else _integer(value, what) for value in values]
+            if (isinstance(values, (str, bytes, Mapping))
+                    or not np.iterable(values)):
+                raise InvalidInputError(f"the {what} axis must be a list of "
+                                        f"values, got {values!r}")
+            axes[what] = [read[what](value, what) for value in values]
             if not axes[what]:
                 raise InvalidParameterError(f"need at least one {what}")
         return axes.values()
@@ -401,8 +407,8 @@ class _Builder:
                                 case=case, tol=tol, records=records)
 
 
-def run_grid(data, cases=(1,), policies=("zero",), seeds=range(50),
-             **options):
+def run_grid(data, cases=_Builder.cases, policies=_Builder.policies,
+             seeds=_Builder.seeds, **options):
     """Iteration-count experiment over a (case, policy) grid.
 
     For every cell and seed: draw x0 uniformly on the simplex, build the
@@ -416,10 +422,11 @@ def run_grid(data, cases=(1,), policies=("zero",), seeds=range(50),
     and ``max_iter``).  The scheme is ``chain_fb`` at
     ``portfolio_chain_scale(p)`` and ``theta``.  A bad parameter raises
     before any cell runs: an empty axis, or a delta that is not finite and
-    positive, InvalidParameterError; such a theta, a bool or fractional
-    case or seed, a NaN tol or ref_tol, a max_iter that is not an integer
-    >= 1 or a policy that ``parse_policy`` refuses InvalidInputError; a
-    keyword that is none of these TypeError.  A case other than 1 or 2
+    positive, InvalidParameterError; an axis that is not a list (a string
+    included), such a theta, a bool or fractional case or seed, a negative
+    seed, a NaN tol or ref_tol, a max_iter that is not an integer >= 1 or a
+    policy that ``parse_policy`` refuses InvalidInputError; a keyword that
+    is none of these TypeError.  A case other than 1 or 2
     fails its own cells.  Each policy is parsed once, reset by every solve.
 
     Case 1 prices on the window as given.  Case 2 rebalances 20 periods

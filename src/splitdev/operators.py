@@ -18,7 +18,8 @@ from .exceptions import (
     InvalidInputError,
     ShapeError,
 )
-from .scheme import _integer, _positive
+from .scheme import (_all_finite, _check_finite, _integer, _positive,
+                     _roundoff, _symmetric_part)
 
 __all__ = [
     "MonotoneOp",
@@ -32,17 +33,6 @@ __all__ = [
     "zero_monotone",
     "affine_cocoercive",
 ]
-
-
-def _all_finite(a):
-    # exact, and half the cost of isfinite(a).all() at small sizes; a screen
-    # through a.sum() would warn where a sum of finite entries overflows
-    return np.count_nonzero(np.isfinite(a)) == a.size
-
-
-def _check_finite(name, a):
-    if not _all_finite(a):
-        raise InvalidInputError(f"{name} contains non-finite entries")
 
 
 def _check_weight(lam):
@@ -155,27 +145,19 @@ def _ranks(p):
 def _symmetric_psd(A, name, error):
     """(A + A^T)/2, its computed lambda_max and the allowance tol.
 
-    ``error`` is raised unless the square, finite A is symmetric and PSD up
-    to tol = 4 p eps ||A||_F.  The symmetric eigensolver is backward stable,
-    so by Weyl each computed eigenvalue lies within c p eps ||A||_2 of the
-    true one (c modest; tol takes c = 4, and ||A||_F >= ||A||_2).  So a
-    computed lambda_min >= -tol is PSD to round-off, and lambda_max + tol is
-    never below the true lambda_max.  ||A||_F is taken of A divided by the
-    power of two just above max |a_ij|, then multiplied back: the scaling is
-    exact, so tol keeps its bits wherever the plain sum of squares neither
-    overflows nor underflows, and stays finite past entries of 1e154.  The
-    symmetric part halves before it adds, so it cannot overflow; a spectrum
-    whose bound lambda_max + tol overflows raises ``error``.
+    ``error`` is raised unless the square, finite, nonempty A is symmetric
+    and PSD up to the ``_roundoff`` tol = 4 p eps ||A||_F, as ||A||_F >=
+    ||A||_2.  So a computed lambda_min >= -tol is PSD to round-off, and
+    lambda_max + tol is never below the true lambda_max.  A spectrum whose
+    bound lambda_max + tol overflows raises ``error``.
     """
-    e = math.frexp(float(np.abs(A).max()))[1]
-    tol = math.ldexp(float(4 * A.shape[0] * np.finfo(float).eps
-                           * np.linalg.norm(np.ldexp(A, -e))), e)
+    tol = _roundoff(A.shape[0], (A,))[0]
     if float(np.abs(A - A.T).max()) > tol:
         raise error(f"{name} must be symmetric")
-    sym = 0.5 * A + 0.5 * A.T
+    sym = _symmetric_part(A)
     eigs = np.linalg.eigvalsh(sym)
     top = float(eigs[-1])
-    if not (np.isfinite(eigs).all() and math.isfinite(top + tol)):
+    if not (_all_finite(eigs) and math.isfinite(top + tol)):
         raise error(f"{name} has eigenvalues beyond the float range")
     if eigs[0] < -tol:
         raise error(f"{name} must be positive semidefinite "
@@ -187,6 +169,8 @@ def _checked_square(A):
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ShapeError("A must be square")
+    if not A.size:
+        raise ShapeError("A must not be empty")
     _check_finite("A", A)
     return A
 

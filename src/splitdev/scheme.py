@@ -221,9 +221,28 @@ def check_row_sums(C, Q):
     return CheckResult("row_sums", True, "all C columns and Q rows sum to 1")
 
 
+def _all_finite(a):
+    # exact, and half the cost of isfinite(a).all() at small sizes; a screen
+    # through a.sum() would warn where a sum of finite entries overflows
+    return np.count_nonzero(np.isfinite(a)) == a.size
+
+
+def _check_finite(name, a):
+    if not _all_finite(a):
+        raise InvalidInputError(f"{name} contains non-finite entries")
+
+
+def _real(value, name, error=InvalidInputError):
+    """value as a float; ``error`` naming ``name`` where float() fails."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise error(f"{name} must be a number, got {value!r}") from None
+
+
 def _positive(value, name, error):
     """value as a float; ``error`` unless it is finite and positive."""
-    value = float(value)
+    value = _real(value, name, error)
     if not 0.0 < value < math.inf:
         raise error(f"{name} must be positive")
     return value
@@ -235,9 +254,18 @@ def _integer(value, name):
         return int(value)  # exact, however large
     if isinstance(value, str) and value.isdecimal():
         return int(value)  # a policy string's seed, exact however long
-    if isinstance(value, (bool, np.bool_)) or not float(value).is_integer():
+    if (isinstance(value, (bool, np.bool_))
+            or not _real(value, name).is_integer()):
         raise InvalidInputError(f"{name} must be an integer, got {value!r}")
     return int(float(value))
+
+
+def _natural(value, name):
+    """value as an int >= 0, such as a seed; InvalidInputError otherwise."""
+    value = _integer(value, name)
+    if value < 0:
+        raise InvalidInputError(f"{name} must be at least 0, got {value}")
+    return value
 
 
 def _cocoercivity_constants(lipschitz, m):
@@ -245,9 +273,39 @@ def _cocoercivity_constants(lipschitz, m):
     L = np.asarray(lipschitz, dtype=float)
     if L.shape != (m,):
         raise ShapeError(f"need {m} cocoercivity constants, got {L.shape}")
-    if not np.all(np.isfinite(L)) or np.any(L <= 0):
+    if not _all_finite(L) or np.any(L <= 0):
         raise InvalidInputError("cocoercivity constants must be positive")
     return L
+
+
+def _coupling_weight(theta):
+    """(1/2)(1 + 1/theta), the weight of the forward coupling in S."""
+    return 0.5 * (1.0 + 1.0 / theta)
+
+
+def _symmetric_part(a):
+    """(a + a^T)/2, halved before it adds, so it cannot overflow."""
+    return 0.5 * a + 0.5 * a.T
+
+
+def _roundoff(n, terms, ord=None):
+    """(tol, norms): tol = 4 n eps (sum of the norms of ``terms``).
+
+    tol bounds the round-off in each computed eigenvalue of an n x n
+    symmetric G formed from ``terms``: forming G perturbs it by a few eps
+    times their sizes, and the symmetric eigensolver is backward stable, so
+    by Weyl each computed eigenvalue is within c n eps ||G||_2 of the true
+    one (c modest; tol takes c = 4).  ``ord`` is numpy's, None (Frobenius)
+    or 2.  Each norm is taken of its term divided by the power of two just
+    above the largest entry of any term, then multiplied back: the scaling
+    is exact, so tol keeps its bits wherever the plain norms neither
+    overflow nor underflow, and stays finite near the float maximum.
+    """
+    e = math.frexp(max(float(np.abs(a).max(initial=0.0)) for a in terms))[1]
+    norms = [float(np.linalg.norm(np.ldexp(a, -e), ord)) for a in terms]
+    with np.errstate(over="ignore"):  # a norm past the float maximum is inf
+        return (math.ldexp(4 * n * np.finfo(float).eps * sum(norms), e),
+                [float(np.ldexp(norm, e)) for norm in norms])
 
 
 def _metric_terms(M, C, Q, lipschitz, theta):
@@ -261,44 +319,30 @@ def _metric_terms(M, C, Q, lipschitz, theta):
     with np.errstate(over="ignore", invalid="ignore"):
         K = T.T @ (L[:, None] * T) if T.size else np.zeros((C.shape[0],) * 2)
         # m = 0 has no coupling term, even where 1/theta overflows
-        return M @ M.T, 0.5 * (1.0 + 1.0 / theta) * K if T.size else K
+        return M @ M.T, _coupling_weight(theta) * K if T.size else K
 
 
 def check_psd_condition(S, M, C, Q, lipschitz, theta):
     """S - M M^T - (1/2)(1 + 1/theta) (C^T - Q)^T diag(L) (C^T - Q) >= 0.
 
     Judged on the symmetrized remainder G against the round-off allowance
-    tol = 4 n eps (||S||_2 + ||M M^T||_2 + ||K||_2), K the scaled coupling
-    term.  Forming G from its three terms perturbs it by a few eps times
-    their sizes, and the symmetric eigensolver is backward stable, so by
-    Weyl the computed lambda_min is within c n eps ||G||_2 of the true one
-    (c modest; tol takes c = 4, and ||G||_2 is at most the sum of the three
-    norms).  So lambda_min >= -tol is PSD to round-off, and since tol
-    scales with the terms a wrong L is seen however small it is.  The
-    spectral norms come from an SVD of the three terms divided by the power
-    of two just above their largest entry, and tol is multiplied back: the
-    scaling is exact, so tol keeps its bits wherever the plain norms
-    neither overflow nor underflow, and stays finite near the float
-    maximum.  A G that is not finite fails before any eigensolve, and one
-    whose computed lambda_min is not finite fails as well.  Also
-    requires the total sum of S (the consensus direction e^T S e) to
-    vanish, to within 1e-10 (1 + ||S||_2).
+    (``_roundoff``) tol = 4 n eps (||S||_2 + ||M M^T||_2 + ||K||_2), K the
+    scaled coupling term, as ||G||_2 is at most that sum.  So lambda_min >=
+    -tol is PSD to round-off, and since tol scales with the terms a wrong L
+    is seen however small it is.  A G that is not finite fails before any
+    eigensolve, and one whose computed lambda_min is not finite fails as
+    well.  Also requires the total sum of S, the consensus direction
+    e^T S e, to vanish, to within 1e-10 (1 + ||S||_2).
     """
     S = np.asarray(S, dtype=float)
     MMt, K = _metric_terms(np.asarray(M, dtype=float), C, Q, lipschitz, theta)
     with np.errstate(over="ignore", invalid="ignore"):
-        G = S - MMt - K
-        G = 0.5 * G + 0.5 * G.T  # halve before adding, as build_default_S
-    lam_min = (float(np.linalg.eigvalsh(G)[0]) if np.all(np.isfinite(G))
+        G = _symmetric_part(S - MMt - K)
+    lam_min = (float(np.linalg.eigvalsh(G)[0]) if _all_finite(G)
                else math.inf)
     if not math.isfinite(lam_min):
         return CheckResult("psd", False, "S - M M^T - K overflows")
-    terms = (S, MMt, K)
-    e = math.frexp(max(float(np.abs(a).max(initial=0.0)) for a in terms))[1]
-    norms = [float(np.linalg.norm(np.ldexp(a, -e), 2)) for a in terms]
-    with np.errstate(over="ignore"):
-        s_norm = float(np.ldexp(norms[0], e))
-    tol = math.ldexp(4 * S.shape[0] * np.finfo(float).eps * sum(norms), e)
+    tol, (s_norm, _, _) = _roundoff(S.shape[0], (S, MMt, K), 2)
     esum = float(S.sum())
     ok_psd = lam_min >= -tol
     ok_zero = abs(esum) <= 1e-10 * (1.0 + s_norm)
@@ -326,8 +370,7 @@ def build_default_S(M, C, Q, lipschitz, theta):
     L = _cocoercivity_constants(lipschitz, C.shape[1])
     MMt, K = _metric_terms(M, C, Q, L,
                            _positive(theta, "theta", InvalidInputError))
-    S = MMt + K
-    S = 0.5 * S + 0.5 * S.T  # halve before adding, so it cannot overflow
+    S = _symmetric_part(MMt + K)
     compute_stepsizes(S)
     return S
 
@@ -385,8 +428,7 @@ class Scheme:
         if Q.shape != (m, n):
             raise ShapeError(f"Q must be {(m, n)}, got {Q.shape}")
         for name, a in (("M", M), ("S", S), ("C", C), ("Q", Q)):
-            if not np.all(np.isfinite(a)):
-                raise InvalidInputError(f"{name} contains non-finite entries")
+            _check_finite(name, a)
 
         self.M = M
         self.S = S
@@ -449,7 +491,7 @@ def _two_block(gamma, theta, lipschitz, m):
     theta = _positive(theta, "theta", InvalidInputError)
     L = _cocoercivity_constants(np.ravel(lipschitz), m)
     # weigh, then sum: with no forward map the term is 0 even at 1/theta inf
-    a2 = 2.0 / gamma - (0.5 * (1.0 + 1.0 / theta) * L).sum()
+    a2 = 2.0 / gamma - (_coupling_weight(theta) * L).sum()
     if a2 <= 0:
         raise DegenerateStepsizeError(f"gamma = {gamma} too large for L_1 = "
                                       f"{L.sum()}: no positive coupling")

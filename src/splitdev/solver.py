@@ -41,8 +41,7 @@ from .exceptions import (
     SchemeValidationError,
     ShapeError,
 )
-from .operators import _all_finite
-from .scheme import _integer, validate
+from .scheme import _all_finite, _check_finite, _integer, _real, validate
 
 __all__ = [
     "ParamSchedule",
@@ -72,13 +71,15 @@ class ParamSchedule:
     epsilon: float = 1e-3
 
     def __post_init__(self):
-        self.epsilon = float(self.epsilon)
+        self.epsilon = _real(self.epsilon, "epsilon")
         if not 0.0 < self.epsilon < 0.5:
             raise InvalidInputError("epsilon must lie in (0, 0.5)")
         if not callable(self.gamma):
-            self.gamma = self.gamma_at(0)
+            self.gamma = _real(self.gamma, "gamma")
+            self.gamma_at(0)
         if not callable(self.xi):
-            self.xi = self.xi_at(0)
+            self.xi = _real(self.xi, "xi")
+            self.xi_at(0)
 
     def gamma_at(self, k):
         g = float(self.gamma(k)) if callable(self.gamma) else float(self.gamma)
@@ -131,8 +132,8 @@ class StopRule:
     With a reference point the loop stops when ||x_n^k - reference|| < tol,
     otherwise when the fixed-point residual drops to tol.  max_iter must be
     an integer >= 1 (an integral float such as 1e6 is taken as that int)
-    and tol is read with ``float`` and must not be NaN (tol <= 0 runs
-    exactly max_iter steps).
+    and tol is read by ``_tolerance`` (tol <= 0 runs exactly max_iter
+    steps).  ``solve`` refuses a reference with a non-finite entry.
     """
 
     tol: float = 1e-8
@@ -143,9 +144,15 @@ class StopRule:
         self.max_iter = _integer(self.max_iter, "max_iter")
         if self.max_iter < 1:
             raise InvalidInputError("max_iter must be at least 1")
-        self.tol = float(self.tol)
-        if math.isnan(self.tol):
-            raise InvalidInputError("tol must not be NaN")
+        self.tol = _tolerance(self.tol, "tol")
+
+
+def _tolerance(value, name):
+    """value as a float, as ``tol`` and ``ref_tol`` are read; not NaN."""
+    value = _real(value, name)
+    if math.isnan(value):
+        raise InvalidInputError(f"{name} must not be NaN")
+    return value
 
 
 class Trajectory:
@@ -373,6 +380,7 @@ def solve(problem, scheme, schedule=None, policy=None, stop=None, z0=None,
         reference = np.asarray(stop.reference, dtype=float)
         if reference.shape != (p,):
             raise ShapeError(f"reference must have shape {(p,)}")
+        _check_finite("reference", reference)
 
     state = SolverState(k=0, z=z, x=None, u=np.zeros((m, p)),
                         v=np.zeros((n - 1, p)), l2=0.0,

@@ -209,7 +209,7 @@ def test_validate_reads_string_theta_alike_in_both_documents(
             assert json.loads(captured.out)["theta"] == 2.0
         else:
             assert captured.out == ""
-            assert "could not convert string to float: 'abc'" in captured.err
+            assert "theta must be a number, got 'abc'" in captured.err
 
 
 def test_validate_degenerate_diagonal_report(tmp_path, capsys):
@@ -495,6 +495,25 @@ def test_experiment_deterministic(tmp_path):
             blob += (out / cell).read_bytes()
         blobs.append(blob)
     assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize("overrides,axis,given", [
+    ({"grid": {"cases": "12"}}, "case", "'12'"),
+    ({"grid": {"policies": "zero"}}, "policy", "'zero'"),
+    ({"seeds": "01"}, "seed", "'01'"),
+], ids=["cases", "policies", "seeds"])
+def test_experiment_refuses_a_string_axis(tmp_path, monkeypatch, capsys,
+                                          overrides, axis, given):
+    # a string is no list of values, not even of one-character ones
+    calls = count_solves(monkeypatch)
+    out = tmp_path / "out"
+    cfg = experiment_config(tmp_path, out, **overrides)
+    assert main(["experiment", cfg]) == 2
+    assert capsys.readouterr().err == (
+        f"splitdev: invalid experiment config: the {axis} axis must be a "
+        f"list of values, got {given}\n")
+    assert calls == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("spec", ["bogus", 5])

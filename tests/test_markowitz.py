@@ -33,7 +33,13 @@ from splitdev import (
 )
 from splitdev import markowitz
 from splitdev.solver import SolverState, step
-from splitdev.deviations import ZeroPolicy, parse_policy
+from splitdev.deviations import (
+    MomentumPolicy,
+    RandomBallPolicy,
+    ZeroPolicy,
+    parse_policy,
+)
+from splitdev.scheme import _integer, _positive
 
 from oracles import markowitz_reference
 
@@ -401,7 +407,25 @@ def test_run_grid_rejects_empty_seeds_before_any_cell(monkeypatch):
     ("cases", [], None, InvalidParameterError, "^need at least one case$"),
     ("policies", [], None, InvalidParameterError,
      "^need at least one policy$"),
-], ids=["case-bool", "seed-bool", "seed-fraction", "no-case", "no-policy"])
+    ("cases", "12", None, InvalidInputError,
+     "^the case axis must be a list of values, got '12'$"),
+    ("seeds", "01", {"seeds": "01"}, InvalidInputError,
+     "^the seed axis must be a list of values, got '01'$"),
+    ("policies", "zero", None, InvalidInputError,
+     "^the policy axis must be a list of values, got 'zero'$"),
+    ("cases", 1, None, InvalidInputError,
+     "^the case axis must be a list of values, got 1$"),
+    ("seeds", {0: 1}, {"seeds": {0: 1}}, InvalidInputError,
+     "^the seed axis must be a list of values, got {0: 1}$"),
+    ("seeds", b"01", {"seeds": b"01"}, InvalidInputError,
+     "^the seed axis must be a list of values, got b'01'$"),
+    ("seeds", [-1], {"seeds": [-1]}, InvalidInputError,
+     "^seed must be at least 0, got -1$"),
+    ("cases", [None], {"case": None}, InvalidInputError,
+     "^case must be a number, got None$"),
+], ids=["case-bool", "seed-bool", "seed-fraction", "no-case", "no-policy",
+        "case-string", "seed-string", "policy-string", "case-scalar",
+        "seed-mapping", "seed-bytes", "seed-negative", "case-none"])
 def test_run_grid_rejects_bad_axis_before_any_cell(monkeypatch, axis, values,
                                                    alone, error, message):
     calls = []
@@ -419,7 +443,8 @@ def test_run_grid_rejects_bad_axis_before_any_cell(monkeypatch, axis, values,
 
 
 @pytest.mark.parametrize("axis,given,read", [
-    ("cases", [1.0], [1]), ("seeds", ["3"], [3])], ids=["case", "seed"])
+    ("cases", [1.0], [1]), ("seeds", ["3"], [3]),
+    ("cases", np.array([1]), [1])], ids=["case", "seed", "case-array"])
 def test_run_grid_reads_integral_cases_and_seeds(axis, given, read):
     data = synthetic_instance(seed=0, days=60, assets=4)
     [got], [want] = (run_grid(data, **{"cases": [1], "seeds": [0],
@@ -510,3 +535,42 @@ def test_synthetic_instance_reads_integral_floats(days, assets, factors):
 def test_markowitz_refusals(refuse, error):
     with pytest.raises(error):
         refuse()
+
+
+@pytest.mark.parametrize("read,error,message", [
+    (lambda: _integer(None, "x"), InvalidInputError,
+     "^x must be a number, got None$"),
+    (lambda: _integer("abc", "seed"), InvalidInputError,
+     "^seed must be a number, got 'abc'$"),
+    (lambda: _positive("abc", "delta", InvalidParameterError),
+     InvalidParameterError, "^delta must be a number, got 'abc'$"),
+    (lambda: StopRule(tol="abc"), InvalidInputError,
+     "^tol must be a number, got 'abc'$"),
+    (lambda: markowitz._Builder(None, ref_tol="abc"), InvalidInputError,
+     "^ref_tol must be a number, got 'abc'$"),
+    (lambda: ParamSchedule(gamma="abc"), InvalidInputError,
+     "^gamma must be a number, got 'abc'$"),
+    (lambda: ParamSchedule(xi=None), InvalidInputError,
+     "^xi must be a number, got None$"),
+    (lambda: MomentumPolicy(beta="abc"), InvalidInputError,
+     "^beta must be a number, got 'abc'$"),
+    (lambda: synthetic_instance(seed=-1), InvalidInputError,
+     "^seed must be at least 0, got -1$"),
+    (lambda: synthetic_instance(0, factors=-1), InvalidInputError,
+     "^factors must be at least 0, got -1$"),
+    (lambda: sample_simplex(3, -1), InvalidInputError,
+     "^seed must be at least 0, got -1$"),
+    (lambda: RandomBallPolicy(seed=-1), InvalidInputError,
+     "^seed must be at least 0, got -1$"),
+    (lambda: shift_window(synthetic_instance(0, days=30, assets=2), 1.5),
+     InvalidInputError, "^shift must be an integer, got 1.5$"),
+    (lambda: shift_window(synthetic_instance(0, days=30, assets=2), True),
+     InvalidInputError, "^shift must be an integer, got True$"),
+], ids=["integer-none", "integer-text", "positive-text", "tol-text",
+        "ref-tol-text", "gamma-text", "xi-none", "beta-text",
+        "seed-negative", "factors-negative", "simplex-seed-negative",
+        "randball-seed-negative", "shift-fraction", "shift-bool"])
+def test_value_readers_raise_the_package_error(read, error, message):
+    # never the TypeError or ValueError of float() or numpy themselves
+    with pytest.raises(error, match=message):
+        read()

@@ -408,6 +408,18 @@ def test_problem_dim_is_an_integer(dim):
     assert Problem((zero_monotone(), zero_monotone()), dim=2.0).dim == 2
 
 
+@pytest.mark.parametrize("build", [
+    lambda A: affine_cocoercive(A, np.zeros(0), lipschitz=1.0),
+    lambda A: affine_cocoercive(A, np.zeros(0)),
+    lambda A: affine_monotone(A, np.zeros(0)),
+    estimate_cocoercivity,
+], ids=["cocoercive-lipschitz", "cocoercive", "monotone", "estimate"])
+def test_empty_matrix_is_refused(build):
+    # no Problem can use a 0 x 0 operator, since dim is at least 1
+    with pytest.raises(ShapeError, match="^A must not be empty$"):
+        build(np.zeros((0, 0)))
+
+
 @pytest.mark.parametrize("refuse,error", [
     (lambda: project_simplex(np.ones((2, 2))), ShapeError),
     (lambda: project_simplex(np.ones(0)), ShapeError),

@@ -160,6 +160,19 @@ def test_stop_rule_reads_max_iter_as_an_integer():
             StopRule(max_iter=value)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_solve_refuses_a_non_finite_reference(bad):
+    # refused before the first step, not run silently to max_iter
+    calls = []
+    spy = MonotoneOp(lambda d, y: calls.append(1) or y, label="spy")
+    problem = Problem([spy, zero_monotone()], dim=1)
+    stop = StopRule(tol=1e-8, max_iter=2000, reference=[bad])
+    with pytest.raises(InvalidInputError,
+                       match="^reference contains non-finite entries$"):
+        solve(problem, douglas_rachford(1.0), stop=stop)
+    assert calls == []
+
+
 def test_stop_rule_rejects_nan_tolerances():
     with pytest.raises(InvalidInputError, match="tol"):
         StopRule(tol=math.nan)
