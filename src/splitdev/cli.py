@@ -171,8 +171,8 @@ def cmd_solve(cfg):
     if kind == "markowitz":
         builder = _Builder(_load_data(problem_cfg["data"]), **options,
                            **_given(problem_cfg, ("delta",)))
-        problem, scheme = builder.problem(problem_cfg.get("case", 1),
-                                          problem_cfg.get("x0_seed", 0))
+        cell = problem_cfg.get("case", 1), problem_cfg.get("x0_seed", 0)
+        problem, scheme = builder.problem(*cell)
         scale = builder.scale(problem.dim)
     else:
         builder, problem = _Builder(None, **options), _dr_quadratic_problem()
@@ -180,9 +180,9 @@ def cmd_solve(cfg):
     if cfg.get("scheme") is not None:
         scheme = _build_scheme(cfg["scheme"], problem, builder.theta, scale)
     stop = builder.stop
-    if stop_cfg.get("reference") == "auto":
-        stop = replace(stop, reference=builder.solve_reference(problem,
-                                                               scheme))
+    if stop_cfg.get("reference") == "auto":  # the problem's x*: 0 for the toy
+        stop = replace(stop, reference=builder.reference(*cell)
+                       if kind == "markowitz" else [0.0])
     out_dir = _output_dir(cfg)
 
     summary = {"problem": kind, "policy": policy.name, "tol": stop.tol}

@@ -141,7 +141,11 @@ def shift_window(data, shift=20):
 
 
 def sample_simplex(p, seed):
-    """Uniform simplex draw (normalized exponentials); seed an int >= 0."""
+    """Uniform simplex draw (normalized exponentials); p an int >= 1 and
+    seed an int >= 0."""
+    p = _integer(p, "p")
+    if p < 1:
+        raise InvalidParameterError(f"p must be at least 1, got {p}")
     rng = np.random.default_rng(_natural(seed, "seed"))
     e = rng.standard_exponential(p)
     return e / e.sum()
@@ -183,6 +187,8 @@ class MarkowitzProblem:
         x0.flags.writeable = False
         if Lam.ndim != 2 or Lam.shape[0] != Lam.shape[1]:
             raise ShapeError("Lambda must be square")
+        if not Lam.size:
+            raise ShapeError("Lambda must not be empty")
         p = Lam.shape[0]
         if r.shape != (p,) or x0.shape != (p,):
             raise ShapeError("r and x0 must match the side of Lambda")
@@ -300,8 +306,10 @@ class _Builder:
     (case, seed).  Every problem gets the grid's one scheme, named
     ``scheme_name``, at ``scale(p)``.  A case-2 problem starts from the case-1
     reference of its seed (the presolve); building a problem solves no
-    other reference.  A build or solve that raised raises the same error on
-    every later request.
+    other reference.  ``reference`` is the one home of a portfolio x*: the
+    grid's cells, the presolve and ``splitdev solve``'s ``"reference":
+    "auto"`` all read it, so a run's own scheme never moves its x*.  A build
+    or solve that raised raises the same error on every later request.
     """
 
     scheme_name = "chain_fb"  # the grid's one scheme, built at scale(p)
@@ -363,19 +371,15 @@ class _Builder:
         return self._memoized(("problem", case, seed), compute)
 
     def reference(self, case, seed):
-        """x* of one (case, seed)."""
-        return self._memoized(("reference", case, seed), lambda:
-                              self.solve_reference(*self.problem(case, seed)))
-
-    def solve_reference(self, problem, scheme):
-        """x* by a deviation-free solve to residual ``ref_tol``."""
-        ref = solve(problem, scheme, schedule=self.schedule,
-                    stop=StopRule(tol=self.ref_tol,
-                                  max_iter=self.stop.max_iter))
-        if not ref.converged:
-            raise OracleFailureError(
-                f"reference run stalled at residual above {self.ref_tol}")
-        return ref.x
+        """x* of one (case, seed): a deviation-free solve to ``ref_tol``."""
+        def compute():
+            ref = solve(*self.problem(case, seed), schedule=self.schedule,
+                        stop=replace(self.stop, tol=self.ref_tol))
+            if not ref.converged:
+                raise OracleFailureError(
+                    f"reference run stalled at residual above {self.ref_tol}")
+            return ref.x
+        return self._memoized(("reference", case, seed), compute)
 
     def run(self, cases, policies, seeds):
         """``run_grid``'s outcomes: one per cell, by case, then policy."""
@@ -433,12 +437,13 @@ def run_grid(data, cases=_Builder.cases, policies=_Builder.policies,
     later: the starting allocation is the Case-1 solution for the same
     seed, and the moments are re-estimated on the shifted window.
 
-    References do not depend on the policy: each (case, seed) reference is
-    solved once, lazily in cell order, and shared by every policy.  Returns
-    one entry per cell, ordered by case, then policy: an ExperimentReport,
-    or the SplitdevError the cell raised; a policy run that hits
-    ``max_iter`` before ``tol`` raises OracleFailureError naming its seed,
-    as a stalled reference does.
+    A reference is the problem's alone: each (case, seed) x* is solved once,
+    lazily in cell order, with the grid's scheme, and shared by every
+    policy; ``splitdev solve`` reads the same x* whatever scheme it runs.
+    Returns one entry per cell, ordered by case, then policy: an
+    ExperimentReport, or the SplitdevError the cell raised; a policy run
+    that hits ``max_iter`` before ``tol`` raises OracleFailureError naming
+    its seed, as a stalled reference does.
     """
     known = inspect.signature(_Builder).parameters
     for name in options:

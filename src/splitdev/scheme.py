@@ -204,19 +204,19 @@ def check_row_sums(C, Q):
     C = np.asarray(C, dtype=float)
     Q = np.asarray(Q, dtype=float)
     n, m = C.shape
-    csums = C.sum(axis=0)
-    qsums = Q.sum(axis=1)
+    with np.errstate(over="ignore"):  # an infinite sum fails as any other
+        csums, qsums = C.sum(axis=0), Q.sum(axis=1)
     bad_c = np.abs(csums - 1.0) > 1e-12
     bad_q = np.abs(qsums - 1.0) > 1e-12
     if m and bad_c.any():
         j = int(np.nonzero(bad_c)[0][0])
         return CheckResult("row_sums", False,
-                           f"column {j + 1} of C sums to {csums[j]!r}",
+                           f"column {j + 1} of C sums to {float(csums[j])!r}",
                            witness=csums)
     if m and bad_q.any():
         j = int(np.nonzero(bad_q)[0][0])
         return CheckResult("row_sums", False,
-                           f"row {j + 1} of Q sums to {qsums[j]!r}",
+                           f"row {j + 1} of Q sums to {float(qsums[j])!r}",
                            witness=qsums)
     return CheckResult("row_sums", True, "all C columns and Q rows sum to 1")
 

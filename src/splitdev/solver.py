@@ -82,14 +82,16 @@ class ParamSchedule:
             self.xi_at(0)
 
     def gamma_at(self, k):
-        g = float(self.gamma(k)) if callable(self.gamma) else float(self.gamma)
+        g = (_real(self.gamma(k), f"gamma_{k}") if callable(self.gamma)
+             else float(self.gamma))
         if not self.epsilon <= g <= 1.0 - self.epsilon:
             raise InvalidInputError(
                 f"gamma_{k} = {g} outside [{self.epsilon}, {1 - self.epsilon}]")
         return g
 
     def xi_at(self, k):
-        x = float(self.xi(k)) if callable(self.xi) else float(self.xi)
+        x = (_real(self.xi(k), f"xi_{k}") if callable(self.xi)
+             else float(self.xi))
         if not 0.0 <= x <= 1.0 - self.epsilon:
             raise InvalidInputError(
                 f"xi_{k} = {x} outside [0, {1 - self.epsilon}]")

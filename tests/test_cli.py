@@ -82,6 +82,20 @@ def test_validate_flags_bad_row_sum(tmp_path, capsys):
     assert any("sum" in name for name in failed)
 
 
+@pytest.mark.parametrize("C,detail,witness", [
+    ([[0.0], [2.0]], "column 1 of C sums to 2.0", [2.0]),
+    ([[1e308], [1e308]], "column 1 of C sums to inf", None),  # overflows
+], ids=["plain-float", "overflow"])
+def test_validate_row_sum_detail(tmp_path, capsys, C, detail, witness):
+    # a plain float, never numpy's repr, and no overflow warning
+    doc = dict(scheme_to_json(davis_yin(gamma=0.5)), C=C, L=[1.0])
+    assert main(["validate", write_json(tmp_path, doc, "bad.json")]) == 1
+    report = json.loads(capsys.readouterr().out)
+    [row_sums] = [c for c in report["checks"] if c["name"] == "row_sums"]
+    assert row_sums == {"name": "row_sums", "passed": False,
+                        "detail": detail, "witness": witness}
+
+
 def test_validate_malformed_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -621,14 +635,21 @@ def test_non_object_config_exit_code(tmp_path, capsys, command, doc):
     assert "must be a JSON object" in capsys.readouterr().err
 
 
-def markowitz_run(tmp_path, out, case, stop, policy="zero", schedule=None):
+def markowitz_run(tmp_path, out, case, stop, policy="zero", schedule=None,
+                  **overrides):
     """A solve config on the 4-asset synthetic instance, x0 seed 1."""
     return run_config(
         tmp_path, out,
         problem={"kind": "markowitz",
                  "data": {"synthetic": {"seed": 0, "days": 60, "assets": 4}},
                  "case": case, "x0_seed": 1},
-        schedule=schedule or {}, policy=policy, stop=stop)
+        schedule=schedule or {}, policy=policy, stop=stop, **overrides)
+
+
+def dist_to_ref_column(out):
+    """The dist_to_ref column of ``out``'s trajectory.csv, as floats."""
+    with open(out / "trajectory.csv", newline="", encoding="ascii") as fh:
+        return [float(row["dist_to_ref"]) for row in csv.DictReader(fh)]
 
 
 def test_solve_case2_starts_where_experiment_does(tmp_path):
@@ -669,13 +690,50 @@ def count_solves(monkeypatch):
 @pytest.mark.parametrize("case,stop,solves", [
     (1, {"tol": 1e-8}, 1),
     (2, {"tol": 1e-8, "reference": "auto"}, 3),  # presolve, reference, run
+    (1, {"tol": 1e-8, "reference": "auto"}, 2),  # reference, run
+    (None, {"tol": 1e-8, "reference": "auto"}, 1),  # dr_quadratic: x* = 0
 ])
 def test_solve_runs_only_the_solves_it_needs(tmp_path, monkeypatch, case,
                                              stop, solves):
     calls = count_solves(monkeypatch)
     out = tmp_path / "out"
-    assert main(["solve", markowitz_run(tmp_path, out, case, stop)]) == 0
+    cfg = (run_config(tmp_path, out, stop=stop) if case is None
+           else markowitz_run(tmp_path, out, case, stop))
+    assert main(["solve", cfg]) == 0
     assert len(calls) == solves
+
+
+@pytest.mark.parametrize("case", [1, 2])
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_solve_auto_reference_is_the_grid_reference(tmp_path, case, factor):
+    # a scheme document changes the run, never the x* it is measured against
+    scale = factor * markowitz.portfolio_chain_scale(4)
+    out = tmp_path / "out"
+    cfg = markowitz_run(tmp_path, out, case,
+                        {"tol": 1e-8, "reference": "auto"},
+                        scheme={"builtin": "chain_fb", "scale": scale})
+    assert main(["solve", cfg]) == 0
+    builder = markowitz._Builder(synthetic_instance(seed=0, days=60, assets=4))
+    problem, _ = builder.problem(case, 1)
+    run = solve(problem, chain_fb(problem.n, problem.m, problem.lipschitz,
+                                  scale=scale),
+                stop=StopRule(tol=1e-8, reference=builder.reference(case, 1)))
+    assert dist_to_ref_column(out) == run.trajectory.dist_to_ref
+
+
+def test_solve_auto_reference_of_dr_quadratic_is_zero(tmp_path):
+    out = tmp_path / "out"
+    cfg = run_config(tmp_path, out,
+                     scheme={"builtin": "douglas_rachford", "gamma": 0.3},
+                     stop={"tol": 1e-8, "reference": "auto"})
+    assert main(["solve", cfg]) == 0
+    run = solve(cli._dr_quadratic_problem(), douglas_rachford(0.3),
+                schedule=ParamSchedule(gamma=0.45, xi=0.0),
+                stop=StopRule(tol=1e-8, reference=[0.0]))
+    column = dist_to_ref_column(out)
+    assert column == run.trajectory.dist_to_ref
+    summary = json.loads((out / "summary.json").read_text())
+    assert column[-1] == summary["final_dist_to_ref"] == abs(summary["x"][0])
 
 
 @pytest.mark.parametrize("command", ["solve", "experiment"])

@@ -1,6 +1,7 @@
 """The quick demos run to completion.
 
-The portfolio case study takes about 20 s and is left out.
+The portfolio case study takes several times longer and is left out; the
+CI workflow runs it as a step of its own.
 """
 
 import pathlib

@@ -137,6 +137,8 @@ def test_sample_simplex():
     assert x.sum() == pytest.approx(1.0)
     np.testing.assert_array_equal(x, sample_simplex(7, seed=123))
     assert not np.array_equal(x, sample_simplex(7, seed=124))
+    for p in ("7", 7.0):  # read as an integer, as every count is
+        np.testing.assert_array_equal(x, sample_simplex(p, seed=123))
 
 
 def test_synthetic_instance_deterministic_and_sized():
@@ -566,10 +568,23 @@ def test_markowitz_refusals(refuse, error):
      InvalidInputError, "^shift must be an integer, got 1.5$"),
     (lambda: shift_window(synthetic_instance(0, days=30, assets=2), True),
      InvalidInputError, "^shift must be an integer, got True$"),
+    (lambda: sample_simplex(-1, 0), InvalidParameterError,
+     "^p must be at least 1, got -1$"),
+    (lambda: sample_simplex(0, 0), InvalidParameterError,
+     "^p must be at least 1, got 0$"),
+    (lambda: sample_simplex(2.5, 0), InvalidInputError,
+     "^p must be an integer, got 2.5$"),
+    (lambda: sample_simplex("three", 0), InvalidInputError,
+     "^p must be a number, got 'three'$"),
+    (lambda: MarkowitzProblem(np.zeros((0, 0)), np.zeros(0), 1.0,
+                              np.zeros(0)),
+     ShapeError, "^Lambda must not be empty$"),
 ], ids=["integer-none", "integer-text", "positive-text", "tol-text",
         "ref-tol-text", "gamma-text", "xi-none", "beta-text",
         "seed-negative", "factors-negative", "simplex-seed-negative",
-        "randball-seed-negative", "shift-fraction", "shift-bool"])
+        "randball-seed-negative", "shift-fraction", "shift-bool",
+        "simplex-p-negative", "simplex-p-zero", "simplex-p-fraction",
+        "simplex-p-text", "lambda-empty"])
 def test_value_readers_raise_the_package_error(read, error, message):
     # never the TypeError or ValueError of float() or numpy themselves
     with pytest.raises(error, match=message):

@@ -102,6 +102,15 @@ def test_row_sums_pinned_cases():
                               np.array([[1.0, 0.0]])).passed
 
 
+def test_row_sums_name_the_first_bad_sum_as_a_plain_float():
+    C = np.array([[0.5], [0.5]])
+    assert check_row_sums(C, np.array([[0.25, 0.5]])).detail == \
+        "row 1 of Q sums to 0.75"
+    overflow = check_row_sums(C, np.array([[1e308, 1e308]]))
+    assert overflow.detail == "row 1 of Q sums to inf"
+    assert overflow.to_dict()["witness"] is None
+
+
 def test_build_default_S_satisfies_psd_with_equality():
     rng = np.random.default_rng(22)
     for _ in range(50):

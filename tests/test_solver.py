@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -138,6 +139,17 @@ def test_param_schedule_validation():
         ParamSchedule(gamma=1.5)  # a constant is checked on construction
     with pytest.raises(InvalidInputError):
         ParamSchedule(epsilon=0.7)
+
+
+@pytest.mark.parametrize("which", ["gamma", "xi"])
+@pytest.mark.parametrize("value", ["abc", None], ids=["text", "none"])
+def test_callable_schedule_value_must_be_a_number(which, value):
+    # the package's error naming the step, never float()'s own
+    schedule = ParamSchedule(**{which: lambda k: value})
+    message = re.escape(f"{which}_0 must be a number, got {value!r}")
+    with pytest.raises(InvalidInputError, match=f"^{message}$"):
+        solve(quadratic_pair(), douglas_rachford(gamma=1.0),
+              schedule=schedule)
 
 
 def test_stop_rule_rejects_max_iter_below_one():
