@@ -36,7 +36,7 @@ from .markowitz import _Builder, load_returns_csv, synthetic_instance
 from .operators import MonotoneOp, Problem
 from .scheme import (_integer, _real, douglas_rachford, scheme_from_json,
                      validate)
-from .solver import ParamSchedule, solve
+from .solver import ParamSchedule, _refuse_unfit, solve
 
 EXIT_OK = 0
 EXIT_CHECKS_FAILED = 1
@@ -179,6 +179,7 @@ def cmd_solve(cfg):
         scheme, scale = douglas_rachford(1.0, theta=builder.theta), 1.0
     if cfg.get("scheme") is not None:
         scheme = _build_scheme(cfg["scheme"], problem, builder.theta, scale)
+    _refuse_unfit(problem, scheme)  # so a refused run solves no reference
     stop = builder.stop
     if stop_cfg.get("reference") == "auto":  # the problem's x*: 0 for the toy
         stop = replace(stop, reference=builder.reference(*cell)

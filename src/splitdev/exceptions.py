@@ -6,7 +6,8 @@ class SplitdevError(Exception):
 
 
 class InvalidInputError(SplitdevError, ValueError):
-    """An argument is non-finite or outside its admissible range."""
+    """A bad value, an argument or a model parameter alike: not a number of
+    its kind, non-finite or outside its admissible range."""
 
 
 class ShapeError(SplitdevError, ValueError):
@@ -50,10 +51,6 @@ class CsvParseError(SplitdevError, ValueError):
 
 class InsufficientDataError(SplitdevError, ValueError):
     """A returns matrix is too short to estimate moments from."""
-
-
-class InvalidParameterError(SplitdevError, ValueError):
-    """A model parameter is outside its admissible range."""
 
 
 class OracleFailureError(SplitdevError, RuntimeError):

@@ -26,7 +26,6 @@ from .exceptions import (
     CsvParseError,
     InsufficientDataError,
     InvalidInputError,
-    InvalidParameterError,
     OracleFailureError,
     ShapeError,
     SplitdevError,
@@ -89,12 +88,13 @@ class MarketData:
 def load_returns_csv(path):
     """Read a returns CSV into MarketData.
 
-    One row per period, one column per asset.  A non-numeric first row is
-    treated as a header and skipped; any later non-numeric cell or a ragged
-    row raises CsvParseError with its 1-based line number.
+    One row per period, one column per asset, in UTF-8 with or without a
+    byte-order mark.  A non-numeric first row is treated as a header and
+    skipped; any later non-numeric cell or a ragged row raises CsvParseError
+    with its 1-based line number.
     """
     rows = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             cells = [c.strip() for c in row]
             if not any(cells):
@@ -134,7 +134,7 @@ def shift_window(data, shift=20):
     """
     shift = _integer(shift, "shift")
     if not 0 < shift < data.days:
-        raise InvalidParameterError(
+        raise InvalidInputError(
             f"shift must lie in (0, {data.days}), got {shift}")
     R = data.returns
     return MarketData(np.vstack([R[shift:], R[-shift:]]))
@@ -145,7 +145,7 @@ def sample_simplex(p, seed):
     seed an int >= 0."""
     p = _integer(p, "p")
     if p < 1:
-        raise InvalidParameterError(f"p must be at least 1, got {p}")
+        raise InvalidInputError(f"p must be at least 1, got {p}")
     rng = np.random.default_rng(_natural(seed, "seed"))
     e = rng.standard_exponential(p)
     return e / e.sum()
@@ -161,7 +161,7 @@ def synthetic_instance(seed, days=200, assets=53, factors=3):
     seed, factors = _natural(seed, "seed"), _natural(factors, "factors")
     days, assets = _integer(days, "days"), _integer(assets, "assets")
     if days < 2 or assets < 1:
-        raise InvalidParameterError("need days >= 2 and assets >= 1")
+        raise InvalidInputError("need days >= 2 and assets >= 1")
     rng = np.random.default_rng(seed)
     loadings = rng.normal(0.0, 0.02, size=(assets, factors))
     paths = rng.standard_normal((days, factors))
@@ -193,13 +193,12 @@ class MarkowitzProblem:
         if r.shape != (p,) or x0.shape != (p,):
             raise ShapeError("r and x0 must match the side of Lambda")
         if not (_all_finite(Lam) and _all_finite(r) and _all_finite(x0)):
-            raise InvalidParameterError("non-finite model data")
+            raise InvalidInputError("non-finite model data")
         # the gradient of 0.5 x' Lambda x sees only the symmetric part
-        Lam = _symmetric_psd(Lam, "Lambda", InvalidParameterError)[0]
+        Lam = _symmetric_psd(Lam, "Lambda")[0]
         object.__setattr__(self, "Lambda", Lam)
         object.__setattr__(self, "r", r)
-        object.__setattr__(self, "delta", _positive(
-            self.delta, "delta", InvalidParameterError))
+        object.__setattr__(self, "delta", _positive(self.delta, "delta"))
         object.__setattr__(self, "x0", x0)
 
     @property
@@ -319,8 +318,8 @@ class _Builder:
     def __init__(self, data, delta=6.0, theta=1.0, schedule=None,
                  tol=StopRule.tol, ref_tol=1e-12, max_iter=StopRule.max_iter):
         self.data, self._memo = data, {}
-        self.delta = _positive(delta, "delta", InvalidParameterError)
-        self.theta = _positive(theta, "theta", InvalidInputError)
+        self.delta = _positive(delta, "delta")
+        self.theta = _positive(theta, "theta")
         self.schedule = schedule if schedule is not None else ParamSchedule()
         self.stop = StopRule(tol=tol, max_iter=max_iter)
         self.ref_tol = _tolerance(ref_tol, "ref_tol")
@@ -338,7 +337,7 @@ class _Builder:
                                         f"values, got {values!r}")
             axes[what] = [read[what](value, what) for value in values]
             if not axes[what]:
-                raise InvalidParameterError(f"need at least one {what}")
+                raise InvalidInputError(f"need at least one {what}")
         return axes.values()
 
     def _memoized(self, key, compute):
@@ -353,7 +352,7 @@ class _Builder:
 
     def moments(self, case):
         if case not in (1, 2):
-            raise InvalidParameterError(f"case must be 1 or 2, got {case}")
+            raise InvalidInputError(f"case must be 1 or 2, got {case}")
         return self._memoized(("moments", case), lambda: estimate_moments(
             self.data if case == 1 else shift_window(self.data)))
 
@@ -425,13 +424,13 @@ def run_grid(data, cases=_Builder.cases, policies=_Builder.policies,
     the defaults of ``_Builder``'s signature (``StopRule``'s for ``tol``
     and ``max_iter``).  The scheme is ``chain_fb`` at
     ``portfolio_chain_scale(p)`` and ``theta``.  A bad parameter raises
-    before any cell runs: an empty axis, or a delta that is not finite and
-    positive, InvalidParameterError; an axis that is not a list (a string
-    included), such a theta, a bool or fractional case or seed, a negative
-    seed, a NaN tol or ref_tol, a max_iter that is not an integer >= 1 or a
-    policy that ``parse_policy`` refuses InvalidInputError; a keyword that
-    is none of these TypeError.  A case other than 1 or 2
-    fails its own cells.  Each policy is parsed once, reset by every solve.
+    before any cell runs: an empty axis or one that is not a list (a string
+    included), a delta or theta that is not finite and positive, a bool or
+    fractional case or seed, a negative seed, a NaN tol or ref_tol, a
+    max_iter that is not an integer >= 1 or a policy that ``parse_policy``
+    refuses InvalidInputError; a keyword that is none of these TypeError.
+    A case other than 1 or 2 fails its own cells.  Each policy is parsed
+    once, reset by every solve.
 
     Case 1 prices on the window as given.  Case 2 rebalances 20 periods
     later: the starting allocation is the Case-1 solution for the same

@@ -142,26 +142,27 @@ def _ranks(p):
     return ranks
 
 
-def _symmetric_psd(A, name, error):
+def _symmetric_psd(A, name):
     """(A + A^T)/2, its computed lambda_max and the allowance tol.
 
-    ``error`` is raised unless the square, finite, nonempty A is symmetric
-    and PSD up to the ``_roundoff`` tol = 4 p eps ||A||_F, as ||A||_F >=
-    ||A||_2.  So a computed lambda_min >= -tol is PSD to round-off, and
-    lambda_max + tol is never below the true lambda_max.  A spectrum whose
-    bound lambda_max + tol overflows raises ``error``.
+    InvalidInputError is raised unless the square, finite, nonempty A is
+    symmetric and PSD up to the ``_roundoff`` tol = 4 p eps ||A||_F, as
+    ||A||_F >= ||A||_2.  So a computed lambda_min >= -tol is PSD to
+    round-off, and lambda_max + tol is never below the true lambda_max.  A
+    spectrum whose bound lambda_max + tol overflows raises it too.
     """
     tol = _roundoff(A.shape[0], (A,))[0]
     if float(np.abs(A - A.T).max()) > tol:
-        raise error(f"{name} must be symmetric")
+        raise InvalidInputError(f"{name} must be symmetric")
     sym = _symmetric_part(A)
     eigs = np.linalg.eigvalsh(sym)
     top = float(eigs[-1])
     if not (_all_finite(eigs) and math.isfinite(top + tol)):
-        raise error(f"{name} has eigenvalues beyond the float range")
+        raise InvalidInputError(
+            f"{name} has eigenvalues beyond the float range")
     if eigs[0] < -tol:
-        raise error(f"{name} must be positive semidefinite "
-                    f"(lambda_min = {eigs[0]:.3e})")
+        raise InvalidInputError(f"{name} must be positive semidefinite "
+                                f"(lambda_min = {eigs[0]:.3e})")
     return sym, top, tol
 
 
@@ -202,7 +203,7 @@ def estimate_cocoercivity(A):
     A = _checked_square(A)
     if not A.any():
         raise DegenerateOperatorError("zero matrix has no spectral scale")
-    _, top, tol = _symmetric_psd(A, "A", InvalidInputError)
+    _, top, tol = _symmetric_psd(A, "A")
     return top + tol
 
 
@@ -227,7 +228,7 @@ class CocoerciveOp:
 
     def __post_init__(self):
         object.__setattr__(self, "lipschitz", _positive(
-            self.lipschitz, "cocoercivity constant", InvalidInputError))
+            self.lipschitz, "cocoercivity constant"))
 
 
 def affine_monotone(A, b, label=""):
@@ -280,7 +281,7 @@ def affine_cocoercive(A, b, lipschitz=None, label=""):
     if lipschitz is None:
         lipschitz = estimate_cocoercivity(A)
     else:
-        _, top, tol = _symmetric_psd(A, "A", InvalidInputError)
+        _, top, tol = _symmetric_psd(A, "A")
         if lipschitz < top - tol:
             raise InvalidInputError(
                 f"lipschitz = {lipschitz} is below lambda_max(A) = {top!r}")

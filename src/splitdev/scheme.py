@@ -28,7 +28,6 @@ from .exceptions import (
     CausalityError,
     DegenerateStepsizeError,
     InvalidInputError,
-    InvalidParameterError,
     ShapeError,
 )
 
@@ -232,19 +231,20 @@ def _check_finite(name, a):
         raise InvalidInputError(f"{name} contains non-finite entries")
 
 
-def _real(value, name, error=InvalidInputError):
-    """value as a float; ``error`` naming ``name`` where float() fails."""
+def _real(value, name):
+    """value as a float, or InvalidInputError naming ``name``."""
     try:
         return float(value)
     except (TypeError, ValueError, OverflowError):
-        raise error(f"{name} must be a number, got {value!r}") from None
+        raise InvalidInputError(
+            f"{name} must be a number, got {value!r}") from None
 
 
-def _positive(value, name, error):
-    """value as a float; ``error`` unless it is finite and positive."""
-    value = _real(value, name, error)
+def _positive(value, name):
+    """value as a float; InvalidInputError unless finite and positive."""
+    value = _real(value, name)
     if not 0.0 < value < math.inf:
-        raise error(f"{name} must be positive")
+        raise InvalidInputError(f"{name} must be positive")
     return value
 
 
@@ -368,8 +368,7 @@ def build_default_S(M, C, Q, lipschitz, theta):
     C = np.asarray(C, dtype=float)
     Q = np.asarray(Q, dtype=float)
     L = _cocoercivity_constants(lipschitz, C.shape[1])
-    MMt, K = _metric_terms(M, C, Q, L,
-                           _positive(theta, "theta", InvalidInputError))
+    MMt, K = _metric_terms(M, C, Q, L, _positive(theta, "theta"))
     S = _symmetric_part(MMt + K)
     compute_stepsizes(S)
     return S
@@ -434,7 +433,7 @@ class Scheme:
         self.S = S
         self.C = C
         self.Q = Q
-        self.theta = _positive(theta, "theta", InvalidInputError)
+        self.theta = _positive(theta, "theta")
         self.d = compute_stepsizes(S)
         for a in (self.M, self.S, self.C, self.Q, self.d):
             a.flags.writeable = False
@@ -484,11 +483,11 @@ def validate(scheme, lipschitz=None):
 def _two_block(gamma, theta, lipschitz, m):
     """chain_fb(2, m) at the coupling a in M = a [1; -1] that makes the
     stepsizes d_1 = d_2 = gamma: a^2 = 2/gamma - (1/2)(1 + 1/theta) sum(L)."""
-    gamma = _positive(gamma, "gamma", InvalidInputError)
+    gamma = _positive(gamma, "gamma")
     if not np.isfinite(2.0 / gamma):
         raise InvalidInputError(f"gamma = {gamma!r} is so small that 2/gamma "
                                 "overflows")
-    theta = _positive(theta, "theta", InvalidInputError)
+    theta = _positive(theta, "theta")
     L = _cocoercivity_constants(np.ravel(lipschitz), m)
     # weigh, then sum: with no forward map the term is 0 even at 1/theta inf
     a2 = 2.0 / gamma - (_coupling_weight(theta) * L).sum()
@@ -532,7 +531,7 @@ def chain_fb(n, m, lipschitz=(), theta=1.0, scale=1.0):
         raise InvalidInputError("need n >= 2")
     if not 0 <= m <= n - 1:
         raise InvalidInputError("need 0 <= m <= n - 1")
-    scale = _positive(scale, "scale", InvalidParameterError)
+    scale = _positive(scale, "scale")
     M = np.zeros((n, n - 1))
     idx = np.arange(n - 1)
     M[idx, idx] = scale

@@ -347,6 +347,19 @@ def step(problem, scheme, state, schedule, policy):
                        residual=residual, spread=spread)
 
 
+def _refuse_unfit(problem, scheme):
+    """SchemeValidationError unless ``scheme`` is the problem's n x m and
+    passes ``validate`` at the problem's cocoercivity constants."""
+    if scheme.n != problem.n or scheme.m != problem.m:
+        raise SchemeValidationError(
+            f"scheme is {scheme.n}x{scheme.m}, problem needs "
+            f"{problem.n}x{problem.m}")
+    report = validate(scheme, problem.lipschitz)
+    if not report.passed:
+        names = [c.name for c in report.failed()]
+        raise SchemeValidationError(f"scheme failed checks: {names}")
+
+
 def solve(problem, scheme, schedule=None, policy=None, stop=None, z0=None,
           record_states=False):
     """Run the iteration until the stop rule fires.
@@ -361,14 +374,7 @@ def solve(problem, scheme, schedule=None, policy=None, stop=None, z0=None,
     policy = policy if policy is not None else ZeroPolicy()
     stop = stop if stop is not None else StopRule()
     stop.__post_init__()  # its fields may have changed since construction
-    if scheme.n != problem.n or scheme.m != problem.m:
-        raise SchemeValidationError(
-            f"scheme is {scheme.n}x{scheme.m}, problem needs "
-            f"{problem.n}x{problem.m}")
-    report = validate(scheme, problem.lipschitz)
-    if not report.passed:
-        names = [c.name for c in report.failed()]
-        raise SchemeValidationError(f"scheme failed checks: {names}")
+    _refuse_unfit(problem, scheme)
 
     n, m, p = scheme.n, scheme.m, problem.dim
     if z0 is None:

@@ -442,7 +442,7 @@ def test_experiment_writes_a_failed_cell(tmp_path):
     assert main(["experiment", cfg]) == 0
     cell = json.loads((out / "cell_case2_chain_fb_zero.json").read_text())
     assert cell["status"] == "failed"
-    assert cell["error"].startswith("InvalidParameterError: shift")
+    assert cell["error"].startswith("InvalidInputError: shift")
     rows = (out / "experiment_summary.csv").read_text().splitlines()
     assert rows[1].startswith("1,chain_fb,zero,")
     assert rows[2:] == ["2,chain_fb,zero,,,0"]
@@ -687,20 +687,35 @@ def count_solves(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("case,stop,solves", [
-    (1, {"tol": 1e-8}, 1),
-    (2, {"tol": 1e-8, "reference": "auto"}, 3),  # presolve, reference, run
-    (1, {"tol": 1e-8, "reference": "auto"}, 2),  # reference, run
-    (None, {"tol": 1e-8, "reference": "auto"}, 1),  # dr_quadratic: x* = 0
-])
+def raised_m00():
+    """The case-1 markowitz_run scheme as a document, M[0][0] raised by 1."""
+    data = synthetic_instance(seed=0, days=60, assets=4)
+    doc = scheme_to_json(markowitz._Builder(data).problem(1, 1)[1])
+    doc["M"][0][0] += 1
+    return doc
+
+
+@pytest.mark.parametrize("case,stop,scheme,solves", [
+    (1, {"tol": 1e-8}, None, 1),
+    (2, {"tol": 1e-8, "reference": "auto"}, None, 3),  # presolve, ref, run
+    (1, {"tol": 1e-8, "reference": "auto"}, None, 2),  # reference, run
+    (None, {"tol": 1e-8, "reference": "auto"}, None, 1),  # dr_quadratic: 0
+    # a scheme that fails its checks, or does not fit, costs no reference
+    (1, {"tol": 1e-8, "reference": "auto"}, raised_m00, 0),
+    (1, {"tol": 1e-8, "reference": "auto"},
+     lambda: {"builtin": "douglas_rachford", "gamma": 1.0}, 0),
+], ids=["1-stop0-1", "2-stop1-3", "1-stop2-2", "None-stop3-1", "raised-M00",
+        "douglas-rachford-on-markowitz"])
 def test_solve_runs_only_the_solves_it_needs(tmp_path, monkeypatch, case,
-                                             stop, solves):
+                                             stop, scheme, solves):
+    overrides = {} if scheme is None else {"scheme": scheme()}
     calls = count_solves(monkeypatch)
     out = tmp_path / "out"
-    cfg = (run_config(tmp_path, out, stop=stop) if case is None
-           else markowitz_run(tmp_path, out, case, stop))
-    assert main(["solve", cfg]) == 0
+    cfg = (run_config(tmp_path, out, stop=stop, **overrides) if case is None
+           else markowitz_run(tmp_path, out, case, stop, **overrides))
+    assert main(["solve", cfg]) == (0 if scheme is None else 1)
     assert len(calls) == solves
+    assert out.exists() == (scheme is None)
 
 
 @pytest.mark.parametrize("case", [1, 2])
@@ -933,6 +948,7 @@ def test_validate_report_is_strict_json_when_the_psd_check_overflows(
     {"delta": float("nan")},
     {"tol": float("inf")},
     {"ref_tol": float("inf")},
+    {"delta": "abc"},
 ])
 def test_experiment_bad_tolerance_or_delta_exit_code(
         tmp_path, monkeypatch, capsys, overrides):

@@ -9,7 +9,6 @@ from splitdev import (
     CsvParseError,
     InsufficientDataError,
     InvalidInputError,
-    InvalidParameterError,
     MarketData,
     MarkowitzProblem,
     OracleFailureError,
@@ -61,6 +60,18 @@ def test_load_returns_csv_skips_header_and_blanks(tmp_path):
     path = write(tmp_path, "alpha,beta\n\n0.1,0.2\n0.3,0.4\n")
     data = load_returns_csv(path)
     assert data.days == 2
+
+
+@pytest.mark.parametrize("header", ["", "alpha,beta\n"],
+                         ids=["no-header", "header"])
+def test_load_returns_csv_reads_past_a_byte_order_mark(tmp_path, header):
+    # a spreadsheet's UTF-8 export may begin with U+FEFF; no row is lost
+    path = tmp_path / "returns.csv"
+    text = "\ufeff" + header + "0.01,0.02\n0.00,-0.01\n0.02,0.01\n"
+    path.write_bytes(text.encode("utf-8"))
+    data = load_returns_csv(path)
+    assert data.days == 3
+    np.testing.assert_array_equal(data.returns[0], [0.01, 0.02])
 
 
 def test_load_returns_csv_empty_file(tmp_path):
@@ -126,7 +137,7 @@ def test_shift_window_reuses_tail():
     np.testing.assert_array_equal(shifted.returns[:3], R[2:])
     np.testing.assert_array_equal(shifted.returns[3:], R[-2:])
     for bad in (0, 5, -1):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidInputError):
             shift_window(MarketData(R), shift=bad)
 
 
@@ -146,7 +157,7 @@ def test_synthetic_instance_deterministic_and_sized():
     b = synthetic_instance(seed=3)
     np.testing.assert_array_equal(a.returns, b.returns)
     assert a.days == 200 and a.assets == 53
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidInputError):
         synthetic_instance(seed=0, days=1)
 
 
@@ -154,12 +165,12 @@ def test_markowitz_problem_validation():
     eye = np.eye(2)
     ok = MarkowitzProblem(eye, np.zeros(2), 6.0, np.zeros(2))
     assert ok.assets == 2
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidInputError):
         MarkowitzProblem(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2),
                          6.0, np.zeros(2))
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidInputError):
         MarkowitzProblem(-eye, np.zeros(2), 6.0, np.zeros(2))
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidInputError):
         MarkowitzProblem(eye, np.zeros(2), 0.0, np.zeros(2))
     with pytest.raises(ShapeError):
         MarkowitzProblem(eye, np.zeros(3), 6.0, np.zeros(2))
@@ -276,9 +287,9 @@ def test_run_experiment_momentum_converges():
 
 def test_run_experiment_validates_arguments():
     data = synthetic_instance(seed=0, days=40, assets=4)
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidInputError):
         run_experiment(data, case=3, seeds=[0])
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidInputError):
         run_experiment(data, case=1, seeds=[])
 
 
@@ -346,7 +357,7 @@ def test_run_grid_rejects_bad_delta_before_any_cell(monkeypatch, delta):
     monkeypatch.setattr(markowitz, "solve",
                         lambda *a, **k: calls.append(1))
     data = synthetic_instance(seed=0, days=60, assets=4)
-    with pytest.raises(InvalidParameterError, match="delta"):
+    with pytest.raises(InvalidInputError, match="delta"):
         run_grid(data, cases=[1, 2], policies=["zero"], seeds=[0],
                  delta=delta)
     assert calls == []
@@ -390,10 +401,10 @@ def test_run_grid_rejects_empty_seeds_before_any_cell(monkeypatch):
     monkeypatch.setattr(markowitz, "solve",
                         lambda *a, **k: calls.append(1))
     data = synthetic_instance(seed=0, days=60, assets=4)
-    with pytest.raises(InvalidParameterError,
+    with pytest.raises(InvalidInputError,
                        match="^need at least one seed$"):
         run_grid(data, [1, 2], ["zero"], [])
-    with pytest.raises(InvalidParameterError,
+    with pytest.raises(InvalidInputError,
                        match="^need at least one seed$"):
         run_experiment(data, seeds=[])
     assert calls == []
@@ -406,8 +417,8 @@ def test_run_grid_rejects_empty_seeds_before_any_cell(monkeypatch):
      "^seed must be an integer, got True$"),
     ("seeds", [0.5], {"seeds": [0.5]}, InvalidInputError,
      "^seed must be an integer, got 0.5$"),
-    ("cases", [], None, InvalidParameterError, "^need at least one case$"),
-    ("policies", [], None, InvalidParameterError,
+    ("cases", [], None, InvalidInputError, "^need at least one case$"),
+    ("policies", [], None, InvalidInputError,
      "^need at least one policy$"),
     ("cases", "12", None, InvalidInputError,
      "^the case axis must be a list of values, got '12'$"),
@@ -527,9 +538,9 @@ def test_synthetic_instance_reads_integral_floats(days, assets, factors):
     (lambda: MarkowitzProblem(np.ones((2, 3)), np.zeros(2), 1.0,
                               np.full(2, 0.5)), ShapeError),
     (lambda: MarkowitzProblem(np.eye(2), np.array([0.0, np.nan]), 1.0,
-                              np.full(2, 0.5)), InvalidParameterError),
+                              np.full(2, 0.5)), InvalidInputError),
     (lambda: MarkowitzProblem(np.eye(2), np.zeros(2), 0.0, np.full(2, 0.5)),
-     InvalidParameterError),
+     InvalidInputError),
     (lambda: synthetic_instance(0.5), InvalidInputError),
     (lambda: synthetic_instance(0, days=True), InvalidInputError),
 ], ids=["returns-1d", "one-row", "lambda-not-square", "nan-r", "delta-zero",
@@ -544,8 +555,8 @@ def test_markowitz_refusals(refuse, error):
      "^x must be a number, got None$"),
     (lambda: _integer("abc", "seed"), InvalidInputError,
      "^seed must be a number, got 'abc'$"),
-    (lambda: _positive("abc", "delta", InvalidParameterError),
-     InvalidParameterError, "^delta must be a number, got 'abc'$"),
+    (lambda: _positive("abc", "delta"),
+     InvalidInputError, "^delta must be a number, got 'abc'$"),
     (lambda: StopRule(tol="abc"), InvalidInputError,
      "^tol must be a number, got 'abc'$"),
     (lambda: markowitz._Builder(None, ref_tol="abc"), InvalidInputError,
@@ -568,9 +579,9 @@ def test_markowitz_refusals(refuse, error):
      InvalidInputError, "^shift must be an integer, got 1.5$"),
     (lambda: shift_window(synthetic_instance(0, days=30, assets=2), True),
      InvalidInputError, "^shift must be an integer, got True$"),
-    (lambda: sample_simplex(-1, 0), InvalidParameterError,
+    (lambda: sample_simplex(-1, 0), InvalidInputError,
      "^p must be at least 1, got -1$"),
-    (lambda: sample_simplex(0, 0), InvalidParameterError,
+    (lambda: sample_simplex(0, 0), InvalidInputError,
      "^p must be at least 1, got 0$"),
     (lambda: sample_simplex(2.5, 0), InvalidInputError,
      "^p must be an integer, got 2.5$"),
@@ -579,12 +590,34 @@ def test_markowitz_refusals(refuse, error):
     (lambda: MarkowitzProblem(np.zeros((0, 0)), np.zeros(0), 1.0,
                               np.zeros(0)),
      ShapeError, "^Lambda must not be empty$"),
+    # one class for a bad value, whether it is no number or out of range
+    (lambda: markowitz._Builder(None, delta=0.0), InvalidInputError,
+     "^delta must be positive$"),
+    (lambda: MarkowitzProblem(np.eye(2), np.zeros(2), -1.0, np.full(2, 0.5)),
+     InvalidInputError, "^delta must be positive$"),
+    (lambda: chain_fb(3, 0, scale=0.0), InvalidInputError,
+     "^scale must be positive$"),
+    (lambda: run_experiment(synthetic_instance(0, days=30, assets=2),
+                            case=3, seeds=[0]),
+     InvalidInputError, "^case must be 1 or 2, got 3$"),
+    (lambda: synthetic_instance(0, days=1), InvalidInputError,
+     "^need days >= 2 and assets >= 1$"),
+    (lambda: shift_window(synthetic_instance(0, days=30, assets=2), 30),
+     InvalidInputError, r"^shift must lie in \(0, 30\), got 30$"),
+    (lambda: MarkowitzProblem(np.array([[np.nan, 0.0], [0.0, 1.0]]),
+                              np.zeros(2), 1.0, np.full(2, 0.5)),
+     InvalidInputError, "^non-finite model data$"),
+    (lambda: MarkowitzProblem(-np.eye(2), np.zeros(2), 1.0, np.full(2, 0.5)),
+     InvalidInputError,
+     r"^Lambda must be positive semidefinite \(lambda_min = -1.000e\+00\)$"),
 ], ids=["integer-none", "integer-text", "positive-text", "tol-text",
         "ref-tol-text", "gamma-text", "xi-none", "beta-text",
         "seed-negative", "factors-negative", "simplex-seed-negative",
         "randball-seed-negative", "shift-fraction", "shift-bool",
         "simplex-p-negative", "simplex-p-zero", "simplex-p-fraction",
-        "simplex-p-text", "lambda-empty"])
+        "simplex-p-text", "lambda-empty", "builder-delta-zero",
+        "problem-delta-negative", "scale-zero", "case-three", "days-one",
+        "shift-out-of-range", "lambda-non-finite", "lambda-indefinite"])
 def test_value_readers_raise_the_package_error(read, error, message):
     # never the TypeError or ValueError of float() or numpy themselves
     with pytest.raises(error, match=message):

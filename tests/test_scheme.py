@@ -8,7 +8,6 @@ from splitdev import (
     CausalityError,
     DegenerateStepsizeError,
     InvalidInputError,
-    InvalidParameterError,
     Scheme,
     ShapeError,
     build_default_S,
@@ -247,7 +246,7 @@ def test_chain_fb_scale_scales_M_only_structurally():
                                49.0 * (base.S - (base.S - base.M @ base.M.T)))
     np.testing.assert_allclose(C_term, base.S - base.M @ base.M.T)
     assert validate(scaled, (1.0, 2.0)).passed
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidInputError):
         chain_fb(3, 2, (1.0, 1.0), scale=-1.0)
 
 
@@ -466,7 +465,8 @@ S2 = 2.0 * np.array([[1.0, -1.0], [-1.0, 1.0]])
     (lambda: chain_fb(1, 0), InvalidInputError),
     (lambda: chain_fb(3, 3, (1.0,) * 3), InvalidInputError),
     (lambda: chain_fb(3, -1), InvalidInputError),
-    (lambda: chain_fb(3, 0, scale=0.0), InvalidParameterError),
+    (lambda: chain_fb(3, 0, scale=0.0), InvalidInputError),
+    (lambda: chain_fb(3, 0, scale="abc"), InvalidInputError),
     (lambda: scheme_from_json([1, 2]), InvalidInputError),
     (lambda: scheme_from_json({"M": [[1], [-1]]}), InvalidInputError),
     (lambda: scheme_from_json({"theta": 1}), InvalidInputError),
@@ -476,8 +476,9 @@ S2 = 2.0 * np.array([[1.0, -1.0], [-1.0, 1.0]])
     (lambda: find_staircase_vector(np.zeros((3, 1)), np.zeros((1, 2))),
      ShapeError),
 ], ids=["M-1d", "M-square", "S-shape", "Q-shape", "n-below-2", "m-above",
-        "m-negative", "scale-zero", "doc-not-object", "doc-missing-theta",
-        "doc-missing-M", "doc-null-S", "doc-short-M", "staircase-Q-shape"])
+        "m-negative", "scale-zero", "scale-text", "doc-not-object",
+        "doc-missing-theta", "doc-missing-M", "doc-null-S", "doc-short-M",
+        "staircase-Q-shape"])
 def test_scheme_refusals(refuse, error):
     with pytest.raises(error):
         refuse()
