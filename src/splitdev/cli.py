@@ -172,15 +172,17 @@ def cmd_solve(cfg):
         builder = _Builder(_load_data(problem_cfg["data"]), **options,
                            **_given(problem_cfg, ("delta",)))
         cell = problem_cfg.get("case", 1), problem_cfg.get("x0_seed", 0)
-        problem, scheme = builder.problem(*cell)
+        problem, scheme = builder.problem(*cell, presolve=False)
         scale = builder.scale(problem.dim)
     else:
         builder, problem = _Builder(None, **options), _dr_quadratic_problem()
         scheme, scale = douglas_rachford(1.0, theta=builder.theta), 1.0
     if cfg.get("scheme") is not None:
         scheme = _build_scheme(cfg["scheme"], problem, builder.theta, scale)
-    _refuse_unfit(problem, scheme)  # so a refused run solves no reference
+    _refuse_unfit(problem, scheme)  # so a refused run solves nothing
     stop = builder.stop
+    if kind == "markowitz":  # a case-2 problem starts from its presolve
+        problem = builder.problem(*cell)[0]
     if stop_cfg.get("reference") == "auto":  # the problem's x*: 0 for the toy
         stop = replace(stop, reference=builder.reference(*cell)
                        if kind == "markowitz" else [0.0])

@@ -14,14 +14,6 @@ class ShapeError(SplitdevError, ValueError):
     """Array dimensions are mutually inconsistent."""
 
 
-class DegenerateOperatorError(SplitdevError, ValueError):
-    """An operator has no usable curvature (for instance a zero matrix)."""
-
-
-class DegenerateStepsizeError(SplitdevError, ValueError):
-    """A scheme diagonal entry would produce a non-positive or unbounded stepsize."""
-
-
 class CausalityError(SplitdevError, ValueError):
     """The coupling pair (C, Q) admits no nondecreasing staircase vector."""
 
@@ -47,10 +39,6 @@ class CsvParseError(SplitdevError, ValueError):
     def __init__(self, message, line=None):
         super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
-
-
-class InsufficientDataError(SplitdevError, ValueError):
-    """A returns matrix is too short to estimate moments from."""
 
 
 class OracleFailureError(SplitdevError, RuntimeError):

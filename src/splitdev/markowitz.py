@@ -24,7 +24,6 @@ import numpy as np
 from .deviations import parse_policy
 from .exceptions import (
     CsvParseError,
-    InsufficientDataError,
     InvalidInputError,
     OracleFailureError,
     ShapeError,
@@ -38,7 +37,6 @@ from .operators import (
     _shrink_l1,
     _shrink_power32,
     _symmetric_psd,
-    estimate_cocoercivity,
     project_simplex,
 )
 from .scheme import _all_finite, _integer, _natural, _positive, chain_fb
@@ -111,19 +109,26 @@ def load_returns_csv(path):
                     line=lineno)
             rows.append(vals)
     if len(rows) < 2:
-        raise InsufficientDataError(
-            f"need at least 2 data rows, found {len(rows)}")
+        raise InvalidInputError(f"need at least 2 data rows, found {len(rows)}")
     return MarketData(np.array(rows, dtype=float))
 
 
 def estimate_moments(data):
-    """(Lambda, r): sample covariance (1/(T-1) normalization) and mean."""
+    """(Lambda, r): sample covariance (1/(T-1) normalization) and mean.
+
+    Returns so large that a moment is not finite raise InvalidInputError.
+    """
     R = data.returns
     if R.shape[0] < 2:
-        raise InsufficientDataError("need at least 2 rows to estimate moments")
-    r = R.mean(axis=0)
-    centered = R - r
-    return centered.T @ centered / (R.shape[0] - 1), r
+        raise InvalidInputError("need at least 2 rows to estimate moments")
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = R.mean(axis=0)
+        centered = R - r
+        Lam = centered.T @ centered / (R.shape[0] - 1)
+    if not (_all_finite(Lam) and _all_finite(r)):
+        raise InvalidInputError("returns too large: their moments are not "
+                                "finite")
+    return Lam, r
 
 
 def shift_window(data, shift=20):
@@ -172,12 +177,19 @@ def synthetic_instance(seed, days=200, assets=53, factors=3):
 
 @dataclass(frozen=True)
 class MarkowitzProblem:
-    """Moments plus regularization and the current allocation."""
+    """Moments plus regularization and the current allocation.
+
+    ``Lambda`` is stored as its symmetric part.  ``lambda_max``, set on
+    construction, is that part's computed lambda_max plus the round-off
+    allowance of the given Lambda: never below the true lambda_max, and the
+    cocoercivity constant of the risk gradient in ``build_problem``.
+    """
 
     Lambda: np.ndarray
     r: np.ndarray
     delta: float
     x0: np.ndarray
+    lambda_max: float = field(init=False, repr=False)
 
     def __post_init__(self):
         Lam = np.asarray(self.Lambda, dtype=float)
@@ -195,8 +207,9 @@ class MarkowitzProblem:
         if not (_all_finite(Lam) and _all_finite(r) and _all_finite(x0)):
             raise InvalidInputError("non-finite model data")
         # the gradient of 0.5 x' Lambda x sees only the symmetric part
-        Lam = _symmetric_psd(Lam, "Lambda")[0]
+        Lam, top, tol = _symmetric_psd(Lam, "Lambda")
         object.__setattr__(self, "Lambda", Lam)
+        object.__setattr__(self, "lambda_max", top + tol)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "delta", _positive(self.delta, "delta"))
         object.__setattr__(self, "x0", x0)
@@ -220,8 +233,12 @@ def build_problem(mp):
 
     Resolvent order: shifted l1 cost, shifted 3/2-power cost, simplex
     projection (so the last primal block is always feasible).  Forward
-    order: quadratic gradient Lambda x - r, then the ridge delta x.
+    order: quadratic gradient Lambda x - r, at constant ``mp.lambda_max``,
+    then the ridge delta x.  A zero Lambda raises InvalidInputError.
     """
+    if not mp.lambda_max:
+        raise InvalidInputError("Lambda is zero: the risk gradient has no "
+                                "cocoercivity constant")
     x0 = mp.x0  # finite and read-only (MarkowitzProblem), so only y is checked
     F = (
         MonotoneOp(lambda d, y: _shrink_l1(d, x0, _checked_point(d, y)),
@@ -232,8 +249,8 @@ def build_problem(mp):
     )
     Lam, r, delta = mp.Lambda, mp.r, mp.delta
     B = (
-        CocoerciveOp(lambda x: Lam @ x - r,
-                     lipschitz=estimate_cocoercivity(Lam), label="risk"),
+        CocoerciveOp(lambda x: Lam @ x - r, lipschitz=mp.lambda_max,
+                     label="risk"),
         CocoerciveOp(lambda x: delta * x, lipschitz=delta, label="ridge"),
     )
     return Problem(F, B, dim=mp.assets)
@@ -356,18 +373,23 @@ class _Builder:
         return self._memoized(("moments", case), lambda: estimate_moments(
             self.data if case == 1 else shift_window(self.data)))
 
-    def problem(self, case, seed):
-        """(problem, scheme) of one (case, seed)."""
+    def problem(self, case, seed, presolve=True):
+        """(problem, scheme) of one (case, seed).
+
+        With ``presolve=False`` a case-2 problem starts from the seed's draw,
+        not the presolve: the same n, m, L and scheme, and no solve.
+        """
         [case], [seed] = self.axes(case=[case], seed=[seed])
+        presolve = presolve and case == 2
         def compute():
             moments = self.moments(case)  # checked before any presolve
-            x0 = (sample_simplex(self.data.assets, seed) if case == 1
-                  else self.reference(1, seed))
+            x0 = (self.reference(1, seed) if presolve
+                  else sample_simplex(self.data.assets, seed))
             problem = build_problem(MarkowitzProblem(*moments, self.delta, x0))
             return problem, chain_fb(
                 problem.n, problem.m, problem.lipschitz, theta=self.theta,
                 scale=self.scale(problem.dim))
-        return self._memoized(("problem", case, seed), compute)
+        return self._memoized(("problem", case, seed, presolve), compute)
 
     def reference(self, case, seed):
         """x* of one (case, seed): a deviation-free solve to ``ref_tol``."""

@@ -13,11 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .exceptions import (
-    DegenerateOperatorError,
-    InvalidInputError,
-    ShapeError,
-)
+from .exceptions import InvalidInputError, ShapeError
 from .scheme import (_all_finite, _check_finite, _integer, _positive,
                      _roundoff, _symmetric_part)
 
@@ -195,14 +191,13 @@ def estimate_cocoercivity(A):
     Raises
     ------
     InvalidInputError
-        If A is not symmetric or not positive semidefinite, or if its
-        lambda_max is beyond the float range.
-    DegenerateOperatorError
-        If A is the zero matrix.
+        If A is not symmetric or not positive semidefinite, if its
+        lambda_max is beyond the float range, or if A is the zero matrix,
+        which has no cocoercivity constant.
     """
     A = _checked_square(A)
     if not A.any():
-        raise DegenerateOperatorError("zero matrix has no spectral scale")
+        raise InvalidInputError("zero matrix has no spectral scale")
     _, top, tol = _symmetric_psd(A, "A")
     return top + tol
 

@@ -24,12 +24,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .exceptions import (
-    CausalityError,
-    DegenerateStepsizeError,
-    InvalidInputError,
-    ShapeError,
-)
+from .exceptions import CausalityError, InvalidInputError, ShapeError
 
 __all__ = [
     "Scheme",
@@ -99,7 +94,7 @@ def compute_stepsizes(S):
 
     Raises
     ------
-    DegenerateStepsizeError
+    InvalidInputError
         If an S_ii is not finite and positive, or so small that 2 / S_ii
         overflows: every d_i must be finite and strictly positive.
     """
@@ -113,7 +108,7 @@ def compute_stepsizes(S):
         i = i if bad[i] else int(np.argmax(diag))
         why = ("is so small that 2/S_ii overflows" if d[i] == np.inf
                and diag[i] > 0.0 else "gives no positive stepsize")
-        raise DegenerateStepsizeError(f"S[{i},{i}] = {diag[i]} {why}")
+        raise InvalidInputError(f"S[{i},{i}] = {diag[i]} {why}")
     return d
 
 
@@ -362,7 +357,7 @@ def build_default_S(M, C, Q, lipschitz, theta):
     This choice meets the positive-semidefiniteness condition with equality,
     which maximizes the stepsizes d_i = 2 / S_ii among admissible diagonals.
     A diagonal that ``compute_stepsizes`` refuses, such as the S_ii = 0 of
-    an uncoupled row, raises its DegenerateStepsizeError.
+    an uncoupled row, raises its InvalidInputError.
     """
     M = np.asarray(M, dtype=float)
     C = np.asarray(C, dtype=float)
@@ -492,8 +487,8 @@ def _two_block(gamma, theta, lipschitz, m):
     # weigh, then sum: with no forward map the term is 0 even at 1/theta inf
     a2 = 2.0 / gamma - (_coupling_weight(theta) * L).sum()
     if a2 <= 0:
-        raise DegenerateStepsizeError(f"gamma = {gamma} too large for L_1 = "
-                                      f"{L.sum()}: no positive coupling")
+        raise InvalidInputError(f"gamma = {gamma} too large for L_1 = "
+                                f"{L.sum()}: no positive coupling")
     return chain_fb(2, m, L, theta, scale=np.sqrt(a2))
 
 

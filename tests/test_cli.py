@@ -241,6 +241,27 @@ def test_validate_degenerate_diagonal_report(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,config,message", [
+    ("validate", {"builtin": "davis_yin", "gamma": 2.0, "L": [2.0]},
+     "invalid scheme document: gamma = 2.0 too large for L_1 = 2.0: no "
+     "positive coupling"),
+    ("experiment", None,
+     "invalid experiment config: need at least 2 data rows, found 1"),
+], ids=["gamma-too-large", "one-row-returns"])
+def test_value_outside_its_range_exit_code(tmp_path, capsys, command, config,
+                                           message):
+    # one error class for a bad value, so one exit code
+    if config is None:
+        returns = tmp_path / "returns.csv"
+        returns.write_text("0.1,0.2\n")
+        path = experiment_config(tmp_path, tmp_path / "out", data=str(returns))
+    else:
+        path = write_json(tmp_path, config, "doc.json")
+    assert main([command, path]) == 2
+    assert capsys.readouterr().err == f"splitdev: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_validate_accepts_a_weakly_coupled_scheme(tmp_path, capsys):
     # S_ii = 1e-14 is small but gives the finite stepsize 2e14
     doc = {"M": [[1e-7], [-1e-7]], "theta": 1}
@@ -704,8 +725,13 @@ def raised_m00():
     (1, {"tol": 1e-8, "reference": "auto"}, raised_m00, 0),
     (1, {"tol": 1e-8, "reference": "auto"},
      lambda: {"builtin": "douglas_rachford", "gamma": 1.0}, 0),
+    # nor the case-2 presolve: the check needs n, m and L, not x0
+    (2, {"tol": 1e-8, "reference": "auto"}, raised_m00, 0),
+    (2, {"tol": 1e-8, "reference": "auto"},
+     lambda: {"builtin": "douglas_rachford", "gamma": 1.0}, 0),
 ], ids=["1-stop0-1", "2-stop1-3", "1-stop2-2", "None-stop3-1", "raised-M00",
-        "douglas-rachford-on-markowitz"])
+        "douglas-rachford-on-markowitz", "2-raised-M00",
+        "2-douglas-rachford-on-markowitz"])
 def test_solve_runs_only_the_solves_it_needs(tmp_path, monkeypatch, case,
                                              stop, scheme, solves):
     overrides = {} if scheme is None else {"scheme": scheme()}

@@ -7,7 +7,6 @@ import pytest
 
 from splitdev import (
     CsvParseError,
-    InsufficientDataError,
     InvalidInputError,
     MarketData,
     MarkowitzProblem,
@@ -17,6 +16,9 @@ from splitdev import (
     StopRule,
     build_problem,
     chain_fb,
+    compute_stepsizes,
+    davis_yin,
+    estimate_cocoercivity,
     estimate_moments,
     load_returns_csv,
     objective,
@@ -75,13 +77,21 @@ def test_load_returns_csv_reads_past_a_byte_order_mark(tmp_path, header):
 
 
 def test_load_returns_csv_empty_file(tmp_path):
-    with pytest.raises(InsufficientDataError):
+    with pytest.raises(InvalidInputError):
         load_returns_csv(write(tmp_path, ""))
 
 
 def test_load_returns_csv_single_row(tmp_path):
-    with pytest.raises(InsufficientDataError):
+    with pytest.raises(InvalidInputError):
         load_returns_csv(write(tmp_path, "0.1,0.2\n"))
+
+
+def test_run_grid_refuses_returns_whose_moments_overflow():
+    # tier-1 turns numpy's overflow warning into an error that no cell catches
+    data = synthetic_instance(seed=0, days=60, assets=4)
+    [outcome] = run_grid(MarketData(data.returns * 1e160), seeds=[0])
+    assert isinstance(outcome, InvalidInputError)
+    assert str(outcome) == "returns too large: their moments are not finite"
 
 
 def test_load_returns_csv_ragged_row_reports_line(tmp_path):
@@ -534,7 +544,7 @@ def test_synthetic_instance_reads_integral_floats(days, assets, factors):
 @pytest.mark.parametrize("refuse,error", [
     (lambda: MarketData(np.ones(3)), ShapeError),
     (lambda: estimate_moments(MarketData(np.ones((1, 3)))),
-     InsufficientDataError),
+     InvalidInputError),
     (lambda: MarkowitzProblem(np.ones((2, 3)), np.zeros(2), 1.0,
                               np.full(2, 0.5)), ShapeError),
     (lambda: MarkowitzProblem(np.eye(2), np.array([0.0, np.nan]), 1.0,
@@ -610,6 +620,22 @@ def test_markowitz_refusals(refuse, error):
     (lambda: MarkowitzProblem(-np.eye(2), np.zeros(2), 1.0, np.full(2, 0.5)),
      InvalidInputError,
      r"^Lambda must be positive semidefinite \(lambda_min = -1.000e\+00\)$"),
+    # a value outside the paper's admissible set: no L, no stepsize, no data
+    (lambda: estimate_cocoercivity(np.zeros((2, 2))), InvalidInputError,
+     "^zero matrix has no spectral scale$"),
+    (lambda: build_problem(MarkowitzProblem(np.zeros((2, 2)), np.zeros(2),
+                                            1.0, np.full(2, 0.5))),
+     InvalidInputError,
+     "^Lambda is zero: the risk gradient has no cocoercivity constant$"),
+    (lambda: compute_stepsizes(np.diag([1.0, 0.0])), InvalidInputError,
+     r"^S\[1,1\] = 0.0 gives no positive stepsize$"),
+    (lambda: davis_yin(2.0, 1.0, [2.0]), InvalidInputError,
+     "^gamma = 2.0 too large for L_1 = 2.0: no positive coupling$"),
+    (lambda: estimate_moments(MarketData(np.ones((1, 3)))), InvalidInputError,
+     "^need at least 2 rows to estimate moments$"),
+    (lambda: estimate_moments(MarketData(
+        synthetic_instance(0, days=30, assets=2).returns * 1e160)),
+     InvalidInputError, "^returns too large: their moments are not finite$"),
 ], ids=["integer-none", "integer-text", "positive-text", "tol-text",
         "ref-tol-text", "gamma-text", "xi-none", "beta-text",
         "seed-negative", "factors-negative", "simplex-seed-negative",
@@ -617,7 +643,9 @@ def test_markowitz_refusals(refuse, error):
         "simplex-p-negative", "simplex-p-zero", "simplex-p-fraction",
         "simplex-p-text", "lambda-empty", "builder-delta-zero",
         "problem-delta-negative", "scale-zero", "case-three", "days-one",
-        "shift-out-of-range", "lambda-non-finite", "lambda-indefinite"])
+        "shift-out-of-range", "lambda-non-finite", "lambda-indefinite",
+        "zero-matrix", "lambda-zero", "stepsize-zero", "gamma-too-large",
+        "one-row-returns", "moments-overflow"])
 def test_value_readers_raise_the_package_error(read, error, message):
     # never the TypeError or ValueError of float() or numpy themselves
     with pytest.raises(error, match=message):

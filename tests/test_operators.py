@@ -6,7 +6,6 @@ import pytest
 import oracles
 from splitdev import (
     CocoerciveOp,
-    DegenerateOperatorError,
     InvalidInputError,
     MonotoneOp,
     Problem,
@@ -195,7 +194,7 @@ def test_estimate_cocoercivity_matches_eigh_on_random_psd():
 
 
 def test_estimate_cocoercivity_rejects_zero_matrix():
-    with pytest.raises(DegenerateOperatorError):
+    with pytest.raises(InvalidInputError):
         estimate_cocoercivity(np.zeros((3, 3)))
 
 

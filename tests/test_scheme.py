@@ -6,7 +6,6 @@ import pytest
 import oracles
 from splitdev import (
     CausalityError,
-    DegenerateStepsizeError,
     InvalidInputError,
     Scheme,
     ShapeError,
@@ -151,7 +150,7 @@ def test_compute_stepsizes_pinned_cases():
     np.testing.assert_allclose(compute_stepsizes(S), [gamma, gamma])
     np.testing.assert_allclose(compute_stepsizes(2.0 * np.eye(3)), np.ones(3))
     np.testing.assert_allclose(compute_stepsizes(4.0 * np.eye(2)), [0.5, 0.5])
-    with pytest.raises(DegenerateStepsizeError):
+    with pytest.raises(InvalidInputError):
         compute_stepsizes(np.diag([1.0, 0.0]))
 
 
@@ -201,7 +200,7 @@ def test_davis_yin_is_chain_fb_at_its_coupling_strength():
         gamma, theta, L1 = rng.uniform(0.05, 1.5, size=3)
         a2 = 2.0 / gamma - 0.5 * (1.0 + 1.0 / theta) * L1
         if a2 <= 0:
-            with pytest.raises(DegenerateStepsizeError, match="too large"):
+            with pytest.raises(InvalidInputError, match="too large"):
                 davis_yin(gamma, theta, [L1])
             continue
         a = np.sqrt(a2)
@@ -273,7 +272,7 @@ def test_validation_catches_every_single_entry_mutation():
             try:
                 mutated = Scheme(kwargs["M"], kwargs["S"], kwargs["C"],
                                  kwargs["Q"], theta=sc.theta)
-            except (InvalidInputError, DegenerateStepsizeError):
+            except InvalidInputError:
                 continue  # construction itself already rejects it
             report = validate(mutated, L)
             assert not report.passed, (which, flat)
@@ -325,7 +324,7 @@ def test_build_default_S_checks_its_constants():
 def test_build_default_S_degenerate_diagonal_raises():
     # a zero M row with no coupling leaves S_ii = 0
     M = np.array([[0.0], [1.0], [-1.0]])
-    with pytest.raises(DegenerateStepsizeError):
+    with pytest.raises(InvalidInputError):
         build_default_S(M, np.zeros((3, 0)), np.zeros((0, 3)), [], 1.0)
 
 
@@ -334,12 +333,12 @@ def test_build_default_S_has_no_floor_below_a_finite_stepsize():
     sc = chain_fb(2, 0, [], scale=np.sqrt(2 / 1e13))
     assert validate(sc).passed
     np.testing.assert_allclose(sc.d, [1e13, 1e13])
-    with pytest.raises(DegenerateStepsizeError, match="2/S_ii overflows"):
+    with pytest.raises(InvalidInputError, match="2/S_ii overflows"):
         chain_fb(2, 0, [], scale=1e-160)  # S_ii = 1e-320
 
 
 def test_stepsize_whose_inverse_overflows_is_refused():
-    with pytest.raises(DegenerateStepsizeError,
+    with pytest.raises(InvalidInputError,
                        match=r"S\[0,0\] = 5e-324 is so small that 2/S_ii"):
         Scheme([[1.0], [-1.0]], np.diag([5e-324, 1.0]), np.zeros((2, 0)),
                np.zeros((0, 2)), 1.0)
@@ -385,7 +384,7 @@ def test_scheme_from_json_unknown_builtin_kind():
 def test_metric_terms_overflow_without_a_warning():
     # M M^T overflows to inf on the middle row; tier-1 turns warnings into
     # errors, so a numpy overflow warning fails this test
-    with pytest.raises(DegenerateStepsizeError, match=r"S\[1,1\] = inf"):
+    with pytest.raises(InvalidInputError, match=r"S\[1,1\] = inf"):
         chain_fb(3, 0, scale=1e154)
 
 
@@ -475,10 +474,12 @@ S2 = 2.0 * np.array([[1.0, -1.0], [-1.0, 1.0]])
     (lambda: scheme_from_json({"M": [[1]], "theta": 1}), ShapeError),
     (lambda: find_staircase_vector(np.zeros((3, 1)), np.zeros((1, 2))),
      ShapeError),
+    (lambda: compute_stepsizes(np.diag([1.0, 0.0])), InvalidInputError),
+    (lambda: davis_yin(2.0, 1.0, [2.0]), InvalidInputError),
 ], ids=["M-1d", "M-square", "S-shape", "Q-shape", "n-below-2", "m-above",
         "m-negative", "scale-zero", "scale-text", "doc-not-object",
         "doc-missing-theta", "doc-missing-M", "doc-null-S", "doc-short-M",
-        "staircase-Q-shape"])
+        "staircase-Q-shape", "stepsize-zero", "gamma-too-large"])
 def test_scheme_refusals(refuse, error):
     with pytest.raises(error):
         refuse()
