@@ -12,6 +12,13 @@ configuration (a scheme that does not build included) or unwritable
 output, 3 iteration cap hit, 4 divergence, 5 every experiment cell failed.
 All files are written atomically (temp file plus rename) and repeated runs
 of the same configuration produce byte-identical outputs.
+
+Each ``cmd_*`` reads its config into checked values and built objects (the
+output directory last) and returns the zero-argument ``run`` of everything
+after: the solves and the file writes.  A bad value may surface while
+reading as Python's TypeError, ValueError or KeyError; once ``run`` starts,
+only a SplitdevError or an OSError is given an exit code, and any other
+exception is a bug, raised as a traceback.
 """
 
 import argparse
@@ -71,11 +78,12 @@ def _fail(msg, code):
 
 
 def cmd_validate(doc):
+    # the checks read L, so validating is all reading
     scheme = scheme_from_json(doc)
     report = validate(scheme, doc.get("L"))
     out = dict(report.to_dict(), n=scheme.n, m=scheme.m, theta=scheme.theta)
     print(_dump_json(out), end="")
-    return EXIT_OK if report.passed else EXIT_CHECKS_FAILED
+    return lambda: EXIT_OK if report.passed else EXIT_CHECKS_FAILED
 
 
 def _dr_quadratic_problem():
@@ -180,38 +188,42 @@ def cmd_solve(cfg):
     if cfg.get("scheme") is not None:
         scheme = _build_scheme(cfg["scheme"], problem, builder.theta, scale)
     _refuse_unfit(problem, scheme)  # so a refused run solves nothing
-    stop = builder.stop
-    if kind == "markowitz":  # a case-2 problem starts from its presolve
-        problem = builder.problem(*cell)[0]
-    if stop_cfg.get("reference") == "auto":  # the problem's x*: 0 for the toy
-        stop = replace(stop, reference=builder.reference(*cell)
-                       if kind == "markowitz" else [0.0])
     out_dir = _output_dir(cfg)
 
-    summary = {"problem": kind, "policy": policy.name, "tol": stop.tol}
-    try:
-        result = solve(problem, scheme, schedule=builder.schedule,
-                       policy=policy, stop=stop)
-    except DivergenceError as exc:
-        summary.update(status="diverged", error=str(exc))
+    def run():
+        # a case-2 problem starts from its presolve
+        start = builder.problem(*cell)[0] if kind == "markowitz" else problem
+        stop = builder.stop
+        if stop_cfg.get("reference") == "auto":  # the problem's x*; 0 for DR
+            stop = replace(stop, reference=builder.reference(*cell)
+                           if kind == "markowitz" else [0.0])
+        summary = {"problem": kind, "policy": policy.name, "tol": stop.tol}
+        try:
+            result = solve(start, scheme, schedule=builder.schedule,
+                           policy=policy, stop=stop)
+        except DivergenceError as exc:
+            summary.update(status="diverged", error=str(exc))
+            _write_atomic(os.path.join(out_dir, "summary.json"),
+                          _dump_json(summary))
+            raise
+
+        traj = result.trajectory
+        summary.update(
+            status="converged" if result.converged else "max_iter",
+            converged=result.converged,
+            iterations=result.iterations,
+            final_residual=traj.residual[-1],
+            final_spread=traj.spread[-1],
+            x=result.x.tolist(),
+        )
+        if stop.reference is not None:
+            summary["final_dist_to_ref"] = traj.dist_to_ref[-1]
+        _write_atomic(os.path.join(out_dir, "trajectory.csv"),
+                      traj.to_csv_text())
         _write_atomic(os.path.join(out_dir, "summary.json"),
                       _dump_json(summary))
-        raise
-
-    traj = result.trajectory
-    summary.update(
-        status="converged" if result.converged else "max_iter",
-        converged=result.converged,
-        iterations=result.iterations,
-        final_residual=traj.residual[-1],
-        final_spread=traj.spread[-1],
-        x=result.x.tolist(),
-    )
-    if stop.reference is not None:
-        summary["final_dist_to_ref"] = traj.dist_to_ref[-1]
-    _write_atomic(os.path.join(out_dir, "trajectory.csv"), traj.to_csv_text())
-    _write_atomic(os.path.join(out_dir, "summary.json"), _dump_json(summary))
-    return EXIT_OK if result.converged else EXIT_MAX_ITER
+        return EXIT_OK if result.converged else EXIT_MAX_ITER
+    return run
 
 
 def _slug(text):
@@ -233,60 +245,75 @@ def cmd_experiment(cfg):
         seeds_cfg = _object(seeds, "seeds", ("start", "count"))
         start = _integer(seeds_cfg.get("start", builder.seeds.start),
                          "seeds.start")
-        seeds = range(start, start + _integer(
-            seeds_cfg.get("count", len(builder.seeds)), "seeds.count"))
+        count = _integer(seeds_cfg.get("count", len(builder.seeds)),
+                         "seeds.count")
+        if count > sys.maxsize:  # no list is that long
+            raise ValueError(f"seeds.count must be at most {sys.maxsize}")
+        seeds = range(start, start + count)
     cases, policies, seeds = builder.axes(
         case=grid.get("cases", builder.cases),
         policy=grid.get("policies", builder.policies), seed=seeds)
     policy_names = [policy.name for policy in policies]
-    for what, keys in (("case", cases), ("policy", policy_names)):
+    for what, keys in (("case", cases), ("policy", policy_names),
+                       ("seed", seeds)):
         dup = next((k for i, k in enumerate(keys) if k in keys[:i]), None)
         if dup is not None:
             raise ValueError(f"two grid cells would write the files of "
                              f"{what} {dup!r}")
     out_dir = _output_dir(cfg)
 
-    outcomes = builder.run(cases, policies, seeds)
-    cells = [(case, policy_name) for case in cases
-             for policy_name in policy_names]
-    table = io.StringIO()  # a momentum policy's name holds a comma
-    rows = csv.writer(table, lineterminator="\n")
-    rows.writerow(["case", "scheme", "policy", "mean_iters", "std_iters",
-                   "n_seeds"])
-    n_failed = 0
-    for (case, policy_name), report in zip(cells, outcomes):
-        base = f"case{case}_{scheme_name}_{_slug(policy_name)}"
-        if isinstance(report, SplitdevError):
-            n_failed += 1
-            rows.writerow([case, scheme_name, policy_name, "", "", 0])
-            error = f"{type(report).__name__}: {report}"
+    def run():
+        outcomes = builder.run(cases, policies, seeds)
+        cells = [(case, policy_name) for case in cases
+                 for policy_name in policy_names]
+        table = io.StringIO()  # a momentum policy's name holds a comma
+        rows = csv.writer(table, lineterminator="\n")
+        rows.writerow(["case", "scheme", "policy", "mean_iters", "std_iters",
+                       "n_seeds"])
+        n_failed = 0
+        for (case, policy_name), report in zip(cells, outcomes):
+            base = f"case{case}_{scheme_name}_{_slug(policy_name)}"
+            if isinstance(report, SplitdevError):
+                n_failed += 1
+                rows.writerow([case, scheme_name, policy_name, "", "", 0])
+                error = f"{type(report).__name__}: {report}"
+                _write_atomic(os.path.join(out_dir, f"cell_{base}.json"),
+                              _dump_json({"status": "failed", "error": error,
+                                          "case": case, "scheme": scheme_name,
+                                          "policy": policy_name}))
+                continue
+            summary = report.summary_dict()
+            summary["status"] = "ok"
             _write_atomic(os.path.join(out_dir, f"cell_{base}.json"),
-                          _dump_json({"status": "failed", "error": error,
-                                      "case": case, "scheme": scheme_name,
-                                      "policy": policy_name}))
-            continue
-        summary = report.summary_dict()
-        summary["status"] = "ok"
-        _write_atomic(os.path.join(out_dir, f"cell_{base}.json"),
-                      _dump_json(summary))
-        for rec in report.records:
-            _write_atomic(
-                os.path.join(out_dir, f"traj_{base}_seed{rec.seed}.csv"),
-                rec.trajectory.to_csv_text())
-        rows.writerow([case, report.scheme, report.policy,
-                       format(report.mean_iters, ".17g"),
-                       format(report.std_iters, ".17g"), len(report.records)])
-    _write_atomic(os.path.join(out_dir, "experiment_summary.csv"),
-                  table.getvalue())
-    if n_failed == len(cells):
-        return _fail("every experiment cell failed", EXIT_ALL_CELLS_FAILED)
-    return EXIT_OK
+                          _dump_json(summary))
+            for rec in report.records:
+                _write_atomic(
+                    os.path.join(out_dir, f"traj_{base}_seed{rec.seed}.csv"),
+                    rec.trajectory.to_csv_text())
+            rows.writerow([case, report.scheme, report.policy,
+                           format(report.mean_iters, ".17g"),
+                           format(report.std_iters, ".17g"),
+                           len(report.records)])
+        _write_atomic(os.path.join(out_dir, "experiment_summary.csv"),
+                      table.getvalue())
+        if n_failed == len(cells):
+            return _fail("every experiment cell failed", EXIT_ALL_CELLS_FAILED)
+        return EXIT_OK
+    return run
 
 
 # The exit code of each error that is not a bad configuration.
 _EXIT_CODES = ((SchemeValidationError, EXIT_CHECKS_FAILED),
                (OracleFailureError, EXIT_MAX_ITER),
                (DivergenceError, EXIT_DIVERGED))
+
+
+def _exit_code(exc, context):
+    """``exc`` reported on stderr; its code from ``_EXIT_CODES``, else 2."""
+    for kind, code in _EXIT_CODES:
+        if isinstance(exc, kind):
+            return _fail(exc, code)
+    return _fail(f"{context}: {exc}", EXIT_BAD_CONFIG)
 
 
 def main(argv=None):
@@ -309,12 +336,13 @@ def main(argv=None):
         with open(args.config, encoding="utf-8") as fh:
             doc = json.load(fh)
         phase = "invalid"
-        return args.func(doc)
+        run = args.func(doc)
     except (SplitdevError, KeyError, OSError, TypeError, ValueError) as exc:
-        for kind, code in _EXIT_CODES:
-            if isinstance(exc, kind):
-                return _fail(exc, code)
-        return _fail(f"{phase} {args.what}: {exc}", EXIT_BAD_CONFIG)
+        return _exit_code(exc, f"{phase} {args.what}")
+    try:
+        return run()
+    except (SplitdevError, OSError) as exc:  # any other error is a bug
+        return _exit_code(exc, f"invalid {args.what}")
 
 
 if __name__ == "__main__":

@@ -368,7 +368,8 @@ def solve(problem, scheme, schedule=None, policy=None, stop=None, z0=None,
     before the first step; a failing report refuses to run.  Returns a
     SolveResult whose ``x`` is the last primal block (the consensus point
     once converged) and whose ``converged`` flag distinguishes a met
-    tolerance from an exhausted iteration cap.
+    tolerance from an exhausted iteration cap.  A ``z0`` or reference with
+    a non-finite entry raises InvalidInputError before the first step.
     """
     schedule = schedule if schedule is not None else ParamSchedule()
     policy = policy if policy is not None else ZeroPolicy()
@@ -383,6 +384,7 @@ def solve(problem, scheme, schedule=None, policy=None, stop=None, z0=None,
         z = np.array(z0, dtype=float)
         if z.shape != (n - 1, p):
             raise ShapeError(f"z0 must have shape {(n - 1, p)}")
+        _check_finite("z0", z)
     reference = None
     if stop.reference is not None:
         reference = np.asarray(stop.reference, dtype=float)

@@ -26,7 +26,7 @@ from splitdev import (
 )
 from splitdev import cli, markowitz
 from splitdev.cli import main
-from splitdev.exceptions import DivergenceError
+from splitdev.exceptions import DivergenceError, OracleFailureError
 
 
 def write_json(tmp_path, doc, name):
@@ -1113,3 +1113,120 @@ def test_cli_refusals(spec):
     # data is a CSV path or {"synthetic": {...}}
     with pytest.raises(ValueError, match="data must be a CSV path"):
         cli._load_data(spec)
+
+
+def test_experiment_refuses_a_repeated_seed(tmp_path, monkeypatch, capsys):
+    # the second run of seed 0 would replace the first one's trajectory
+    calls = count_solves(monkeypatch)
+    out = tmp_path / "out"
+    cfg = experiment_config(tmp_path, out, seeds=[0, 0],
+                            grid={"cases": [1], "policies": ["zero"]})
+    assert main(["experiment", cfg]) == 2
+    assert capsys.readouterr().err == (
+        "splitdev: invalid experiment config: two grid cells would write "
+        "the files of seed 0\n")
+    assert calls == []
+    assert not out.exists()
+
+
+def raising_solve(monkeypatch, error):
+    """Every solve the CLI or the grid runs raises ``error``."""
+    def solve_that_raises(*args, **kwargs):
+        raise error
+    for module in (cli, markowitz):
+        monkeypatch.setattr(module, "solve", solve_that_raises)
+
+
+# Each command once a solve starts: the run's own solve, the reference
+# solve, the case-2 presolve and the grid's solves.
+SOLVING_COMMANDS = {
+    "solve-case1": lambda tmp_path, out: markowitz_run(
+        tmp_path, out, 1, {"tol": 1e-8}),
+    "solve-case1-auto": lambda tmp_path, out: markowitz_run(
+        tmp_path, out, 1, {"tol": 1e-8, "reference": "auto"}),
+    "solve-case2-auto": lambda tmp_path, out: markowitz_run(
+        tmp_path, out, 2, {"tol": 1e-8, "reference": "auto"}),
+    "experiment": lambda tmp_path, out: experiment_config(tmp_path, out),
+}
+
+
+@pytest.mark.parametrize("error", [TypeError("unsupported operand"),
+                                   ValueError("bad broadcast"),
+                                   KeyError("oops")],
+                         ids=["TypeError", "ValueError", "KeyError"])
+@pytest.mark.parametrize("command", SOLVING_COMMANDS)
+def test_a_bug_in_a_solve_escapes_main(tmp_path, monkeypatch, capsys,
+                                       command, error):
+    # once the config is read, only splitdev's own errors get an exit code;
+    # anything else is a bug and a traceback, never "invalid run config"
+    raising_solve(monkeypatch, error)
+    cfg = SOLVING_COMMANDS[command](tmp_path, tmp_path / "out")
+    with pytest.raises(type(error)) as raised:
+        main([command.split("-")[0], cfg])
+    assert raised.value is error
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("error,code,message", [
+    (DivergenceError("residual 1e13"), 4, "splitdev: residual 1e13\n"),
+    (OracleFailureError("stalled"), 3, "splitdev: stalled\n"),
+], ids=["DivergenceError", "OracleFailureError"])
+@pytest.mark.parametrize("command", SOLVING_COMMANDS)
+def test_a_solve_error_of_the_package_keeps_its_exit_code(
+        tmp_path, monkeypatch, capsys, command, error, code, message):
+    # a grid catches each cell's error, so every cell fails: exit 5
+    raising_solve(monkeypatch, error)
+    cfg = SOLVING_COMMANDS[command](tmp_path, tmp_path / "out")
+    if command == "experiment":
+        code, message = 5, "splitdev: every experiment cell failed\n"
+    assert main([command.split("-")[0], cfg]) == code
+    assert capsys.readouterr().err == message
+
+
+# Every value a bad config may hold in place of a good one.
+JSON_VALUES = [None, True, -1, 0, 0.5, 1e300, "abc", [], [0], {}, {"x": 1}]
+
+
+def key_paths(value, path=()):
+    """The path of every value nested in ``value``, list items included."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield path + (key,)
+        yield from key_paths(item, path + (key,))
+
+
+def base_config(tmp_path, config):
+    """The test config named ``config``, with a small max_iter."""
+    out = tmp_path / "out"
+    if config == "solve":
+        path = run_config(tmp_path, out, stop={"tol": 1e-8, "max_iter": 20})
+    elif config == "markowitz":
+        path = markowitz_run(tmp_path, out, 2, {"tol": 1e-8, "max_iter": 20,
+                                                "reference": "auto"})
+    else:
+        path = experiment_config(tmp_path, out, max_iter=20)
+    return json.loads(Path(path).read_text())
+
+
+@pytest.mark.parametrize("config", ["solve", "markowitz", "experiment"])
+def test_a_bad_value_never_escapes_main(tmp_path, monkeypatch, capsys,
+                                        config):
+    # whatever a key holds, main answers with an exit code, never a trace
+    monkeypatch.chdir(tmp_path)  # a string output_dir lands here
+    command = "experiment" if config == "experiment" else "solve"
+    for path in key_paths(base_config(tmp_path, config)):
+        for value in JSON_VALUES:
+            cfg = base_config(tmp_path, config)
+            *parents, key = path
+            section = cfg
+            for name in parents:
+                section = section[name]
+            section[key] = value
+            cfg_path = write_json(tmp_path, cfg, "edited.json")
+            try:
+                code = main([command, cfg_path])
+            except Exception as exc:
+                raise AssertionError(f"{path} = {value!r} escaped") from exc
+            assert code in range(6), (path, value, code)
+    capsys.readouterr()

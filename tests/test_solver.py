@@ -185,6 +185,36 @@ def test_solve_refuses_a_non_finite_reference(bad):
     assert calls == []
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("kind", ["markowitz", "zero-monotone-pair"])
+def test_solve_refuses_a_non_finite_z0(kind, bad):
+    # refused before the first step, not by a resolvent's own check or as
+    # a divergence after a NaN subtraction
+    calls = []
+
+    def spy(op):
+        return MonotoneOp(lambda d, y: calls.append(1) or op.resolvent(d, y),
+                          label=op.label)
+
+    if kind == "markowitz":
+        Lam, r = estimate_moments(synthetic_instance(seed=0, days=60,
+                                                     assets=4))
+        base = build_problem(MarkowitzProblem(Lam, r, 6.0,
+                                              sample_simplex(4, 1)))
+        scheme = chain_fb(base.n, base.m, base.lipschitz,
+                          scale=portfolio_chain_scale(4))
+    else:
+        base = Problem([zero_monotone(), zero_monotone()], dim=1)
+        scheme = douglas_rachford(1.0)
+    problem = Problem([spy(op) for op in base.F], base.B, dim=base.dim)
+    z0 = np.zeros((scheme.n - 1, problem.dim))
+    z0[-1, 0] = bad
+    with pytest.raises(InvalidInputError,
+                       match="^z0 contains non-finite entries$"):
+        solve(problem, scheme, z0=z0)
+    assert calls == []
+
+
 def test_stop_rule_rejects_nan_tolerances():
     with pytest.raises(InvalidInputError, match="tol"):
         StopRule(tol=math.nan)
