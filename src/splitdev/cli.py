@@ -25,7 +25,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 import tempfile
@@ -34,15 +33,13 @@ from dataclasses import replace
 from .deviations import parse_policy
 from .exceptions import (
     DivergenceError,
-    InvalidInputError,
     OracleFailureError,
     SchemeValidationError,
     SplitdevError,
 )
 from .markowitz import _Builder, load_returns_csv, synthetic_instance
 from .operators import MonotoneOp, Problem
-from .scheme import (_integer, _real, douglas_rachford, scheme_from_json,
-                     validate)
+from .scheme import _integer, douglas_rachford, scheme_from_json, validate
 from .solver import ParamSchedule, _refuse_unfit, solve
 
 EXIT_OK = 0
@@ -98,7 +95,7 @@ def _load_data(spec):
         return load_returns_csv(spec)
     if isinstance(spec, dict) and "synthetic" in spec:
         syn = _object(spec, "data", ("synthetic",))["synthetic"]
-        return synthetic_instance(**{"seed": 0, **syn})
+        return synthetic_instance(**syn)
     raise ValueError("data must be a CSV path or {'synthetic': {...}}")
 
 
@@ -134,9 +131,6 @@ def _given(section, keys):
 def _solve_options(cfg, given):
     """``_Builder``'s keywords: the ``given`` solve keys, and the schedule
     section, whose theta is that of the schemes the CLI builds."""
-    for key in ("tol", "ref_tol"):  # JSON could not write such a value back
-        if key in given and not math.isfinite(_real(given[key], key)):
-            raise InvalidInputError(f"{key} must not be NaN or infinite")
     schedule = dict(_object(cfg.get("schedule"), "schedule"))
     if "theta" in schedule:
         given = dict(given, theta=schedule.pop("theta"))

@@ -88,8 +88,9 @@ def load_returns_csv(path):
 
     One row per period, one column per asset, in UTF-8 with or without a
     byte-order mark.  A non-numeric first row is treated as a header and
-    skipped; any later non-numeric cell or a ragged row raises CsvParseError
-    with its 1-based line number.
+    skipped; any later non-numeric cell, a non-finite cell such as ``nan``
+    or ``inf`` (the first row's included) or a ragged row raises
+    CsvParseError with its 1-based line number.
     """
     rows = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -103,6 +104,8 @@ def load_returns_csv(path):
                 if lineno == 1:
                     continue  # header
                 raise CsvParseError("non-numeric value", line=lineno) from None
+            if not all(map(math.isfinite, vals)):
+                raise CsvParseError("non-finite value", line=lineno)
             if rows and len(vals) != len(rows[0]):
                 raise CsvParseError(
                     f"expected {len(rows[0])} columns, got {len(vals)}",
@@ -156,12 +159,13 @@ def sample_simplex(p, seed):
     return e / e.sum()
 
 
-def synthetic_instance(seed, days=200, assets=53, factors=3):
+def synthetic_instance(seed=0, days=200, assets=53, factors=3):
     """Seeded synthetic daily-return panel from a linear factor model.
 
     returns = drift + factor_paths @ loadings' + noise with idiosyncratic
     sigma = 0.01, calibrated so covariances land in the range of daily
-    equity data.  Each argument is an integer, ``seed`` and ``factors`` >= 0.
+    equity data.  Each argument is an integer, ``seed`` and ``factors`` >= 0;
+    ``seed`` defaults to 0.
     """
     seed, factors = _natural(seed, "seed"), _natural(factors, "factors")
     days, assets = _integer(days, "days"), _integer(assets, "assets")

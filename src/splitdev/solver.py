@@ -131,11 +131,13 @@ class SolverState:
 class StopRule:
     """Stopping parameters for ``solve``.
 
-    With a reference point the loop stops when ||x_n^k - reference|| < tol,
-    otherwise when the fixed-point residual drops to tol.  max_iter must be
-    an integer >= 1 (an integral float such as 1e6 is taken as that int)
-    and tol is read by ``_tolerance`` (tol <= 0 runs exactly max_iter
-    steps).  ``solve`` refuses a reference with a non-finite entry.
+    The loop stops after the first step whose measure is below tol: the
+    distance ||x_n^k - reference|| with a reference point, otherwise the
+    fixed-point residual max(residual, spread).  So a tol <= 0 runs
+    exactly max_iter steps.  tol is read by ``_tolerance``: a number, not
+    NaN or infinite.  max_iter must be an integer >= 1 (an integral float
+    such as 1e6 is taken as that int).  ``solve`` refuses a reference with
+    a non-finite entry.
     """
 
     tol: float = 1e-8
@@ -150,10 +152,10 @@ class StopRule:
 
 
 def _tolerance(value, name):
-    """value as a float, as ``tol`` and ``ref_tol`` are read; not NaN."""
+    """value as a float, as ``tol`` and ``ref_tol`` are read; finite."""
     value = _real(value, name)
-    if math.isnan(value):
-        raise InvalidInputError(f"{name} must not be NaN")
+    if not math.isfinite(value):
+        raise InvalidInputError(f"{name} must not be NaN or infinite")
     return value
 
 
@@ -186,20 +188,22 @@ class Trajectory:
         self._columns = tuple([] if code is None else array(code)
                               for code in self._FIELDS.values())
         vars(self).update(zip(self._FIELDS, self._columns))
-        self._appends = tuple(column.append for column in self._columns)
         self.z_states = [] if record_states else None
 
     def __len__(self):
         return len(self.k)
 
     def append(self, *row):
-        if len(row) != len(self._appends):
-            raise TypeError(f"a row has {len(self._appends)} values, "
+        if len(row) != len(self._columns):
+            raise TypeError(f"a row has {len(self._columns)} values, "
                             f"got {len(row)}")
-        # unrolled, one bound append per column in _FIELDS order
-        a0, a1, a2, a3, a4, a5, a6, a7, a8, a9 = self._appends
-        a0(row[0]), a1(row[1]), a2(row[2]), a3(row[3]), a4(row[4])
-        a5(row[5]), a6(row[6]), a7(row[7]), a8(row[8]), a9(row[9])
+        # unrolled, one column per value in _FIELDS order; no bound append
+        # is cached, as a deep copy would keep it bound to these columns
+        c0, c1, c2, c3, c4, c5, c6, c7, c8, c9 = self._columns
+        c0.append(row[0]), c1.append(row[1]), c2.append(row[2])
+        c3.append(row[3]), c4.append(row[4]), c5.append(row[5])
+        c6.append(row[6]), c7.append(row[7]), c8.append(row[8])
+        c9.append(row[9])
 
     def record_state(self, z):
         if self.z_states is not None:
@@ -251,17 +255,32 @@ def _block_spread(x):
     return math.sqrt(max(np.add.reduce(diffs, 1).tolist()))
 
 
-def _residual_parts(mtx, x):
-    """(||M^T x||, block spread of x), given mtx = M^T x."""
-    flat = mtx.ravel()
-    return math.sqrt(flat.dot(flat)), _block_spread(x)
+def step(problem, scheme, state, schedule, policy):
+    """Advance the iteration by one step; the step is the whole iteration.
 
+    Runs the primal sweep of the module docstring (each resolvent and each
+    forward map called once), then the dual update, the capacity and the
+    residual parts.  Returns the successor state: the new dual point, the
+    primal sweep that produced it, the capacity l_k^2, and the
+    budget-checked deviation pair for the next step.  Raises
+    BudgetViolationError if the policy overspends and DivergenceError on a
+    non-finite sweep or capacity.
 
-def _inner_pass(z_eff, u, problem, scheme):
-    """One primal sweep; returns (x, resolvent_calls, forward_calls).
-
-    u is the forward-input deviation, or None for the zero one.
+    Deviation-free steps skip the deviation machinery with bit-identical
+    results.  An incoming pair (state.u, state.v) that is all zeros is not
+    added into the sweep or the capacity; this is decided from the pair, so
+    a nonzero pair is applied whatever the policy.  A policy of exact type
+    ZeroPolicy gets no window or ``produce`` call: the next pair is zeros
+    with cost 0.0.  Its subclasses take the general path.
     """
+    gamma_k = state.gamma
+    # count_nonzero is the cheapest exact zero test numpy has (ndarray.any
+    # costs about three times as much); NaN counts as nonzero
+    deviated = (state.budget_used != 0.0 or np.count_nonzero(state.u)
+                or np.count_nonzero(state.v))
+    # the sweep's inputs; u is None for the zero forward-input deviation
+    z_eff, u = (state.z + state.v, state.u) if deviated else (state.z, None)
+
     x = np.empty((scheme.n, problem.dim))  # row i is written before read
     acc_rows = scheme.M @ z_eff  # (n, p), row i becomes row i's accumulator
     F, B = problem.F, problem.B
@@ -280,43 +299,17 @@ def _inner_pass(z_eff, u, problem, scheme):
             # 1.0 * b is b, bit for bit
             acc -= bvals[j] if c_ij == 1.0 else c_ij * bvals[j]
         x[i] = F[i].resolvent(d_i, d_i * acc)
-    return x, scheme.n, n_fwd
-
-
-def step(problem, scheme, state, schedule, policy):
-    """Advance the iteration by one step.
-
-    Returns the successor state: the new dual point, the primal sweep that
-    produced it, the capacity l_k^2, and the budget-checked deviation pair
-    for the next step.  Raises BudgetViolationError if the policy overspends
-    and DivergenceError on a non-finite sweep or capacity.
-
-    Deviation-free steps skip the deviation machinery with bit-identical
-    results.  An incoming pair (state.u, state.v) that is all zeros is not
-    added into the sweep or the capacity; this is decided from the pair, so
-    a nonzero pair is applied whatever the policy.  A policy of exact type
-    ZeroPolicy gets no window or ``produce`` call: the next pair is zeros
-    with cost 0.0.  Its subclasses take the general path.
-    """
-    gamma_k = state.gamma
-    # count_nonzero is the cheapest exact zero test numpy has (ndarray.any
-    # costs about three times as much); NaN counts as nonzero
-    deviated = (state.budget_used != 0.0 or np.count_nonzero(state.u)
-                or np.count_nonzero(state.v))
-    if deviated:
-        x, n_res, n_fwd = _inner_pass(state.z + state.v, state.u, problem,
-                                      scheme)
-    else:
-        x, n_res, n_fwd = _inner_pass(state.z, None, problem, scheme)
     if not _all_finite(x):
         raise DivergenceError(f"non-finite primal sweep at step {state.k}")
+
     mtx = scheme.M.T @ x
     z_new = state.z - gamma_k * mtx
     dz = z_new - state.z
     shift = dz + (gamma_k / (1.0 - gamma_k)) * state.v if deviated else dz
     l2 = ((1.0 - gamma_k) / gamma_k) * float(
         np.add.reduce(np.square(shift), None))
-    residual, spread = _residual_parts(mtx, x)
+    flat = mtx.ravel()
+    residual, spread = math.sqrt(flat.dot(flat)), _block_spread(x)
     if not math.isfinite(l2):  # a finite sweep can still overflow l2
         raise DivergenceError(f"non-finite capacity l2 = {l2} "
                               f"at step {state.k}")
@@ -343,7 +336,7 @@ def step(problem, scheme, state, schedule, policy):
                                        f"budget {budget} at step {state.k}")
     return SolverState(k=state.k + 1, z=z_new, x=x, u=u_new, v=v_new, l2=l2,
                        gamma=gamma_next, xi=xi_next, budget_used=cost,
-                       resolvent_calls=n_res, forward_calls=n_fwd,
+                       resolvent_calls=scheme.n, forward_calls=n_fwd,
                        residual=residual, spread=spread)
 
 
@@ -415,7 +408,8 @@ def solve(problem, scheme, schedule=None, policy=None, stop=None, z0=None,
             raise DivergenceError(
                 f"residual {fp} beyond {_DIVERGENCE_LIMIT} "
                 f"at step {state.k - 1}")
-        if (dist < stop.tol) if reference is not None else (fp <= stop.tol):
+        # the one stop test: tol <= 0 runs exactly max_iter steps
+        if (fp if dist is None else dist) < stop.tol:
             converged = True
             break
     return SolveResult(x=state.x[-1].copy(), trajectory=traj,

@@ -3,7 +3,9 @@
 Everything here is written the slow, obvious way on purpose: scalar
 golden-section searches, exhaustive enumeration, textbook update formulas,
 dense eigensolves.  None of it shares code with the library, so agreement
-is evidence rather than tautology.
+is evidence rather than tautology.  The one exception is the worst-case
+deviation policy at the end: it is a test input, not an oracle, and it
+clips its pair with the library's ``enforce_budget``.
 """
 
 import itertools
@@ -11,6 +13,8 @@ import math
 import types
 
 import numpy as np
+
+from splitdev.deviations import enforce_budget
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -202,7 +206,7 @@ def splitting_run(problem, scheme, gamma, xi, theta, policy, tol, max_iter,
     """Run the deviated splitting iteration at constant gamma and xi.
 
     Stops like ``solve``: at ||x_n - reference|| < tol when a reference is
-    given, else at max(||M^T x||, block spread) <= tol, or after max_iter
+    given, else at max(||M^T x||, block spread) < tol, or after max_iter
     steps.  Returns (columns, z_states, x): the trajectory columns as
     lists keyed by their CSV names, every dual iterate from z^0 on, and the
     last primal sweep.
@@ -276,7 +280,7 @@ def splitting_run(problem, scheme, gamma, xi, theta, policy, tol, max_iter,
         if reference is not None:
             if dist < tol:
                 break
-        elif max(residual, spread) <= tol:
+        elif max(residual, spread) < tol:
             break
     return columns, z_states, x
 
@@ -301,3 +305,32 @@ def csv_text(columns):
                 fields.append("%.17g" % value)
         text += ",".join(fields) + "\n"
     return text
+
+
+# -- worst-case deviations --------------------------------------------------
+
+
+class WorstCasePolicy:
+    """Spend the whole budget on a pair that pushes away from z*.
+
+    Tracks z^{k+1} by summing the window's dz from z^0 = 0 and proposes
+    the raw pair v = 1e6 (z^{k+1} - z*), u = 1e6 dw (zero before the
+    second sweep), far outside any budget; ``enforce_budget`` then scales
+    v to exactly the share rho of the budget and u to the share 1 - rho.
+    """
+
+    def __init__(self, z_star, rho):
+        self.z_star, self.rho = np.asarray(z_star), rho
+
+    def reset(self, problem, scheme):
+        self.z = np.zeros(self.z_star.shape)
+
+    def produce(self, window, budget, gamma_next, theta, lipschitz):
+        self.z = self.z + window.dz
+        v_raw = 1e6 * (self.z - self.z_star)
+        if window.dw is None:
+            u_raw = np.zeros((len(lipschitz), self.z.shape[-1]))
+        else:
+            u_raw = 1e6 * window.dw
+        return enforce_budget(u_raw, v_raw, budget, gamma_next, theta,
+                              lipschitz, rho=self.rho)

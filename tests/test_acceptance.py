@@ -43,7 +43,8 @@ from splitdev import (
 )
 from splitdev.cli import main as cli_main
 
-from oracles import markowitz_reference, project_simplex_kkt, prox_1d
+from oracles import (WorstCasePolicy, markowitz_reference,
+                     project_simplex_kkt, prox_1d)
 
 AUDIT = {"runs": 0, "budget_rows": 0, "budget_violations": 0,
          "counter_rows": 0, "counter_mismatches": 0}
@@ -176,16 +177,23 @@ def fejer_workload():
                                 stop=StopRule(tol=1e-8, max_iter=20000),
                                 record_states=True)
             assert res.converged
-            tr, zs = res.trajectory, res.trajectory.z_states
-            dists = [float(np.sum((z - z_star) ** 2)) for z in zs]
-            for k in range(1, len(tr)):
-                v_k = dists[k] + tr.l2[k - 1]
-                v_next = dists[k + 1] + tr.l2[k]
-                slack = tr.xi[k - 1] * tr.l2[k - 1] - tr.l2[k]
-                worst = max(worst, v_next - v_k - slack)
-            for k in range(len(tr)):
-                spent = tr.budget_used[k - 1] if k else 0.0
-                fejer = max(fejer, dists[k + 1] + tr.l2[k] - dists[k] - spent)
+            run_worst, run_fejer = _fejer_violations(res.trajectory, z_star)
+            worst, fejer = max(worst, run_worst), max(fejer, run_fejer)
+    return worst, fejer
+
+
+def _fejer_violations(tr, z_star):
+    """(Eq.-(11) form, Fejer form) worst violations of one recorded run."""
+    worst = fejer = -np.inf
+    dists = [float(np.sum((z - z_star) ** 2)) for z in tr.z_states]
+    for k in range(1, len(tr)):
+        v_k = dists[k] + tr.l2[k - 1]
+        v_next = dists[k + 1] + tr.l2[k]
+        slack = tr.xi[k - 1] * tr.l2[k - 1] - tr.l2[k]
+        worst = max(worst, v_next - v_k - slack)
+    for k in range(len(tr)):
+        spent = tr.budget_used[k - 1] if k else 0.0
+        fejer = max(fejer, dists[k + 1] + tr.l2[k] - dists[k] - spent)
     return worst, fejer
 
 
@@ -257,6 +265,37 @@ def test_criterion_3_fejer_monotonicity():
             f"worst violation {worst:.2e} <= 1e-9; |z_k+1 - z*|^2 + l2' <= "
             f"|z_k - z*|^2 + spent, worst violation {fejer:.2e} <= 1e-9 "
             f"({dt:.1f}s)")
+
+
+def test_fejer_inequalities_under_a_worst_case_policy():
+    # the even seeds of criterion 3's family, each at rho 0, 0.5 and 1: the
+    # policy's raw pair is 1e6 times too large, so nearly every pair is
+    # clipped to exactly its budget, and the Fejer inequalities must still
+    # hold; a pair that round-off puts a few ulps over a fully spent budget
+    # must pass the step's budget check
+    worst = fejer = -np.inf
+    spent = over = 0
+    for seed, (prob, sc) in enumerate(instance_family()):
+        if seed % 2:
+            continue
+        z_star = solve(prob, sc, schedule=SCHEDULE,
+                       stop=StopRule(tol=1e-11)).state.z
+        for rho in (0.0, 0.5, 1.0):
+            res = tracked_solve(prob, sc, schedule=SCHEDULE,
+                                policy=WorstCasePolicy(z_star, rho),
+                                stop=StopRule(tol=1e-8, max_iter=20000),
+                                record_states=True)
+            assert res.converged, (seed, rho)
+            tr = res.trajectory
+            run_worst, run_fejer = _fejer_violations(tr, z_star)
+            worst, fejer = max(worst, run_worst), max(fejer, run_fejer)
+            budgets = np.asarray(tr.xi) * np.asarray(tr.l2)
+            used = np.asarray(tr.budget_used)
+            spent += int(np.count_nonzero(
+                (budgets > 0.0) & (np.abs(used - budgets) <= 1e-12 * budgets)))
+            over += int(np.count_nonzero(used > budgets))
+    assert worst <= 1e-9 and fejer <= 1e-9, (worst, fejer)
+    assert spent > 10000 and over > 0, (spent, over)
 
 
 def test_criterion_4_termination_properties():

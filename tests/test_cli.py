@@ -291,6 +291,18 @@ def test_solve_max_iter_exit_code(tmp_path):
     assert summary["status"] == "max_iter"
 
 
+def test_solve_at_tol_zero_runs_max_iter_steps(tmp_path):
+    # the residual reaches exactly 0 here, which is not below tol 0
+    out = tmp_path / "out"
+    cfg = write_json(tmp_path, {"problem": {"kind": "dr_quadratic"},
+                                "stop": {"tol": 0, "max_iter": 100},
+                                "output_dir": str(out)}, "run.json")
+    assert main(["solve", cfg]) == 3
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "max_iter" and summary["iterations"] == 100
+    assert summary["final_residual"] == 0.0
+
+
 def test_solve_refuses_invalid_scheme(tmp_path):
     doc = scheme_to_json(douglas_rachford(gamma=1.0))
     doc["M"] = [[1.0], [1.0]]  # column sum 2 breaks the kernel condition

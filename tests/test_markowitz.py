@@ -108,6 +108,14 @@ def test_load_returns_csv_non_numeric_cell(tmp_path):
     assert exc.value.line == 2
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+def test_load_returns_csv_non_finite_cell(tmp_path, cell):
+    path = write(tmp_path, f"a,b\n0.1,0.2\n0.1,{cell}\n")
+    with pytest.raises(CsvParseError, match="non-finite") as exc:
+        load_returns_csv(path)
+    assert exc.value.line == 3
+
+
 def test_market_data_rejects_non_finite():
     with pytest.raises(CsvParseError):
         MarketData(np.array([[0.1], [np.inf]]))
@@ -160,6 +168,11 @@ def test_sample_simplex():
     assert not np.array_equal(x, sample_simplex(7, seed=124))
     for p in ("7", 7.0):  # read as an integer, as every count is
         np.testing.assert_array_equal(x, sample_simplex(p, seed=123))
+
+
+def test_synthetic_instance_seed_defaults_to_zero():
+    np.testing.assert_array_equal(synthetic_instance().returns,
+                                  synthetic_instance(seed=0).returns)
 
 
 def test_synthetic_instance_deterministic_and_sized():

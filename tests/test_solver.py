@@ -1,5 +1,6 @@
 """Iteration engine: stepping, budgets, termination, instrumentation."""
 
+import copy
 import dataclasses
 import math
 import re
@@ -225,6 +226,42 @@ def test_stop_rule_rejects_nan_tolerances():
     stop.tol = math.nan
     with pytest.raises(InvalidInputError, match="tol"):  # and again by solve
         solve(quadratic_pair(), douglas_rachford(gamma=1.0), stop=stop)
+
+
+def test_tol_zero_runs_max_iter_steps_without_a_reference():
+    # the fixed-point residual is exactly 0 after one step, not below tol 0
+    problem = Problem([zero_monotone(), zero_monotone()], dim=1)
+    res = solve(problem, douglas_rachford(1.0),
+                stop=StopRule(tol=0.0, max_iter=50))
+    assert res.iterations == 50 and not res.converged
+    assert max(res.trajectory.residual[0], res.trajectory.spread[0]) == 0.0
+
+
+@pytest.mark.parametrize("name", ["tol", "ref_tol"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_tolerances_must_be_finite(name, bad):
+    with pytest.raises(InvalidInputError,
+                       match=f"^{name} must not be NaN or infinite$"):
+        if name == "tol":
+            StopRule(tol=bad)
+        else:
+            sd.run_grid(synthetic_instance(seed=0, days=60, assets=4),
+                        seeds=[0], ref_tol=bad, max_iter=50)
+
+
+def test_a_copied_result_does_not_share_its_trajectory():
+    res = solve(quadratic_pair(), douglas_rachford(gamma=1.0),
+                stop=StopRule(tol=-1.0, max_iter=3))
+    report = sd.run_experiment(synthetic_instance(seed=0, days=60, assets=4),
+                               seeds=[0])
+    rows = len(report.records[0].trajectory)
+    copies = [copy.deepcopy(res).trajectory,
+              dataclasses.asdict(report)["records"][0]["trajectory"]]
+    for tr in copies:
+        tr.append(*(0,) * 10)
+    assert len(res.trajectory) == 3
+    assert len(report.records[0].trajectory) == rows
+    assert [len(tr) for tr in copies] == [4, rows + 1]
 
 
 def first_step(problem):
