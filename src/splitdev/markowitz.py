@@ -39,7 +39,8 @@ from .operators import (
     _symmetric_psd,
     project_simplex,
 )
-from .scheme import _all_finite, _integer, _natural, _positive, chain_fb
+from .scheme import (_all_finite, _integer, _natural, _positive, _read_only,
+                     chain_fb)
 from .solver import ParamSchedule, StopRule, _tolerance, solve
 
 __all__ = [
@@ -62,12 +63,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MarketData:
-    """A T x p matrix of per-period asset returns."""
+    """A T x p matrix of per-period asset returns, kept read-only."""
 
     returns: np.ndarray
 
     def __post_init__(self):
-        r = np.asarray(self.returns, dtype=float)
+        r = _read_only(self.returns)
         if r.ndim != 2 or r.shape[0] < 1 or r.shape[1] < 1:
             raise ShapeError("returns must be a T x p matrix")
         if not _all_finite(r):
@@ -183,7 +184,8 @@ def synthetic_instance(seed=0, days=200, assets=53, factors=3):
 class MarkowitzProblem:
     """Moments plus regularization and the current allocation.
 
-    ``Lambda`` is stored as its symmetric part.  ``lambda_max``, set on
+    ``Lambda`` is stored as its symmetric part, and it, ``r`` and ``x0``
+    as read-only arrays of their own.  ``lambda_max``, set on
     construction, is that part's computed lambda_max plus the round-off
     allowance of the given Lambda: never below the true lambda_max, and the
     cocoercivity constant of the risk gradient in ``build_problem``.
@@ -197,10 +199,8 @@ class MarkowitzProblem:
 
     def __post_init__(self):
         Lam = np.asarray(self.Lambda, dtype=float)
-        r = np.asarray(self.r, dtype=float)
-        # a private read-only copy: the resolvents rely on this finite check
-        x0 = np.array(self.x0, dtype=float)
-        x0.flags.writeable = False
+        # private read-only copies: the operators rely on these checks
+        r, x0 = _read_only(self.r), _read_only(self.x0)
         if Lam.ndim != 2 or Lam.shape[0] != Lam.shape[1]:
             raise ShapeError("Lambda must be square")
         if not Lam.size:
@@ -211,7 +211,8 @@ class MarkowitzProblem:
         if not (_all_finite(Lam) and _all_finite(r) and _all_finite(x0)):
             raise InvalidInputError("non-finite model data")
         # the gradient of 0.5 x' Lambda x sees only the symmetric part
-        Lam, top, tol = _symmetric_psd(Lam, "Lambda")
+        Lam, top, tol = _symmetric_psd(Lam, "Lambda")  # a new array
+        Lam.flags.writeable = False
         object.__setattr__(self, "Lambda", Lam)
         object.__setattr__(self, "lambda_max", top + tol)
         object.__setattr__(self, "r", r)

@@ -14,8 +14,8 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import InvalidInputError, ShapeError
-from .scheme import (_all_finite, _check_finite, _integer, _positive,
-                     _roundoff, _symmetric_part)
+from .scheme import (_all_finite, _check_finite, _Frozen, _integer,
+                     _positive, _read_only, _roundoff, _symmetric_part)
 
 __all__ = [
     "MonotoneOp",
@@ -173,9 +173,11 @@ def _checked_square(A):
 
 
 def _affine_data(A, b):
-    """A square and finite, b finite with A's side; both as float arrays."""
-    A = _checked_square(A)
-    b = np.asarray(b, dtype=float)
+    """A square and finite, b finite with A's side; both as read-only float
+    copies, so the operator they define keeps the constant it was checked
+    with."""
+    A = _checked_square(_read_only(A))
+    b = _read_only(b)
     if b.shape != (A.shape[0],):
         raise ShapeError(f"b must have shape {(A.shape[0],)}, got {b.shape}")
     _check_finite("b", b)
@@ -230,7 +232,8 @@ def affine_monotone(A, b, label=""):
     """Monotone operator x -> A x + b; A must be monotone (A + A^T PSD).
 
     A square and finite and b finite of A's side are checked (ShapeError,
-    InvalidInputError); monotonicity is assumed, not checked.
+    InvalidInputError) and kept as read-only copies; monotonicity is
+    assumed, not checked.
 
     The resolvent returns (I + dA)^{-1} (y - d b).  It keeps the inverse of
     I + dA for the last stepsize d it saw, so repeated calls at one d (a
@@ -267,7 +270,9 @@ def affine_cocoercive(A, b, lipschitz=None, label=""):
     """Cocoercive operator x -> A x - b for symmetric PSD A.
 
     A must be square, finite, symmetric and PSD, and b finite of A's side,
-    whether or not ``lipschitz`` is given.  When omitted it is
+    whether or not ``lipschitz`` is given; both are kept as read-only
+    copies, so a later change to the caller's A cannot outgrow the
+    constant.  When omitted it is
     ``estimate_cocoercivity(A)``; a given one may not fall short of the
     computed lambda_max(A) by more than the round-off allowance
     (InvalidInputError).
@@ -284,31 +289,31 @@ def affine_cocoercive(A, b, lipschitz=None, label=""):
                         label=label)
 
 
-class Problem:
+class Problem(_Frozen):
     """A monotone inclusion 0 in (sum F_i + sum B_j)(x) on R^dim.
 
     Requires at least two resolvent-accessed operators; a single-operator
-    instance has no consensus structure to split.
+    instance has no consensus structure to split.  Each F entry must be a
+    MonotoneOp and each B entry a CocoerciveOp (InvalidInputError).
+    Immutable like a Scheme, so n, m and ``lipschitz``, the B's constants
+    read-only, match F and B.
     """
 
     def __init__(self, F, B=(), dim=None):
-        self.F = tuple(F)
-        self.B = tuple(B)
-        if len(self.F) < 2:
+        F, B = tuple(F), tuple(B)
+        if len(F) < 2:
             raise InvalidInputError("need at least two resolvent operators")
-        self.dim = 0 if dim is None else _integer(dim, "dim")
-        if self.dim < 1:
+        for name, ops, kind in (("F", F, MonotoneOp), ("B", B, CocoerciveOp)):
+            for i, op in enumerate(ops):
+                if not isinstance(op, kind):
+                    raise InvalidInputError(f"{name}[{i}] must be a "
+                                            f"{kind.__name__}, got "
+                                            f"{type(op).__name__}")
+        dim = 0 if dim is None else _integer(dim, "dim")
+        if dim < 1:
             raise InvalidInputError("dim must be a positive integer")
-        self.lipschitz = np.array([op.lipschitz for op in self.B], dtype=float)
-        self.lipschitz.flags.writeable = False
-
-    @property
-    def n(self):
-        return len(self.F)
-
-    @property
-    def m(self):
-        return len(self.B)
+        vars(self).update(F=F, B=B, n=len(F), m=len(B), dim=dim,
+                          lipschitz=_read_only([op.lipschitz for op in B]))
 
     def __repr__(self):
         return f"Problem(n={self.n}, m={self.m}, dim={self.dim})"

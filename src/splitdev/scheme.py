@@ -19,7 +19,7 @@ witnesses; the solver refuses schemes whose report fails.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -215,6 +215,23 @@ def check_row_sums(C, Q):
     return CheckResult("row_sums", True, "all C columns and Q rows sum to 1")
 
 
+class _Frozen:
+    """Fields set once, through ``vars(self)``; == and hash by identity."""
+
+    def __setattr__(self, name, *value):
+        raise FrozenInstanceError(
+            f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+def _read_only(a):
+    """A read-only float copy of a."""
+    a = np.array(a, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
 def _all_finite(a):
     # exact, and half the cost of isfinite(a).all() at small sizes; a screen
     # through a.sum() would warn where a sum of finite entries overflows
@@ -396,19 +413,17 @@ def _sweep_plan(d, S, C, Q):
     return tuple(plan)
 
 
-class Scheme:
+class Scheme(_Frozen):
     """Immutable bundle (M, S, C, Q, theta) plus derived stepsize data.
 
-    Derived on construction: the stepsizes d with d_i = 2/S_ii and
-    ``plan``, one SweepRow per primal row for the solver's sweep.  theta
+    Checked and set once, on construction, with read-only matrices, so the
+    sizes n and m, the stepsizes d with d_i = 2/S_ii and ``plan``, one
+    SweepRow per primal row for the solver's sweep, never go stale.  theta
     is the one the solver uses for the deviation budget.
     """
 
     def __init__(self, M, S, C, Q, theta):
-        M = np.array(M, dtype=float)
-        S = np.array(S, dtype=float)
-        C = np.array(C, dtype=float)
-        Q = np.array(Q, dtype=float)
+        M, S, C, Q = map(_read_only, (M, S, C, Q))
         if M.ndim != 2:
             raise ShapeError("M must be 2-D")
         n = M.shape[0]
@@ -424,23 +439,10 @@ class Scheme:
         for name, a in (("M", M), ("S", S), ("C", C), ("Q", Q)):
             _check_finite(name, a)
 
-        self.M = M
-        self.S = S
-        self.C = C
-        self.Q = Q
-        self.theta = _positive(theta, "theta")
-        self.d = compute_stepsizes(S)
-        for a in (self.M, self.S, self.C, self.Q, self.d):
-            a.flags.writeable = False
-        self.plan = _sweep_plan(self.d, self.S, self.C, self.Q)
-
-    @property
-    def n(self):
-        return self.M.shape[0]
-
-    @property
-    def m(self):
-        return self.C.shape[1]
+        theta = _positive(theta, "theta")
+        d = _read_only(compute_stepsizes(S))
+        vars(self).update(M=M, S=S, C=C, Q=Q, theta=theta, n=n, m=m, d=d,
+                          plan=_sweep_plan(d, S, C, Q))
 
     def __repr__(self):
         return f"Scheme(n={self.n}, m={self.m}, theta={self.theta})"

@@ -41,7 +41,8 @@ from .exceptions import (
     SchemeValidationError,
     ShapeError,
 )
-from .scheme import _all_finite, _check_finite, _integer, _real, validate
+from .scheme import (_all_finite, _check_finite, _integer, _read_only, _real,
+                     validate)
 
 __all__ = [
     "ParamSchedule",
@@ -57,13 +58,14 @@ __all__ = [
 _DIVERGENCE_LIMIT = 1e12
 
 
-@dataclass
+@dataclass(frozen=True)
 class ParamSchedule:
     """Per-iteration parameters gamma_k and xi_k (theta is the scheme's).
 
-    gamma and xi may be plain floats or callables of the iteration index.
-    Values are checked on access: epsilon <= gamma_k <= 1 - epsilon and
-    0 <= xi_k <= 1 - epsilon; constants are read with float and checked.
+    gamma and xi may be plain floats or callables of the iteration index,
+    with epsilon <= gamma_k <= 1 - epsilon and 0 <= xi_k <= 1 - epsilon.
+    Frozen, so a constant is read with float and checked once, on
+    construction; ``at`` checks a callable's value at each k.
     """
 
     gamma: Union[float, Callable[[int], float]] = 0.9
@@ -71,31 +73,29 @@ class ParamSchedule:
     epsilon: float = 1e-3
 
     def __post_init__(self):
-        self.epsilon = _real(self.epsilon, "epsilon")
+        object.__setattr__(self, "epsilon", _real(self.epsilon, "epsilon"))
         if not 0.0 < self.epsilon < 0.5:
             raise InvalidInputError("epsilon must lie in (0, 0.5)")
-        if not callable(self.gamma):
-            self.gamma = _real(self.gamma, "gamma")
-            self.gamma_at(0)
-        if not callable(self.xi):
-            self.xi = _real(self.xi, "xi")
-            self.xi_at(0)
+        for name in ("gamma", "xi"):
+            if not callable(value := getattr(self, name)):
+                object.__setattr__(self, name,
+                                   self._checked(name, 0, _real(value, name)))
 
-    def gamma_at(self, k):
-        g = (_real(self.gamma(k), f"gamma_{k}") if callable(self.gamma)
-             else float(self.gamma))
-        if not self.epsilon <= g <= 1.0 - self.epsilon:
-            raise InvalidInputError(
-                f"gamma_{k} = {g} outside [{self.epsilon}, {1 - self.epsilon}]")
-        return g
+    def at(self, k):
+        """(gamma_k, xi_k): a callable's value checked, a constant as is."""
+        gamma, xi = self.gamma, self.xi
+        if callable(gamma):
+            gamma = self._checked("gamma", k, _real(gamma(k), f"gamma_{k}"))
+        if callable(xi):
+            xi = self._checked("xi", k, _real(xi(k), f"xi_{k}"))
+        return gamma, xi
 
-    def xi_at(self, k):
-        x = (_real(self.xi(k), f"xi_{k}") if callable(self.xi)
-             else float(self.xi))
-        if not 0.0 <= x <= 1.0 - self.epsilon:
+    def _checked(self, name, k, value):
+        lo, hi = (self.epsilon if name == "gamma" else 0), 1.0 - self.epsilon
+        if not lo <= value <= hi:
             raise InvalidInputError(
-                f"xi_{k} = {x} outside [0, {1 - self.epsilon}]")
-        return x
+                f"{name}_{k} = {value} outside [{lo}, {hi}]")
+        return value
 
 
 @dataclass(slots=True)
@@ -127,17 +127,17 @@ class SolverState:
     spread: Optional[float] = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class StopRule:
-    """Stopping parameters for ``solve``.
+    """Stopping parameters for ``solve``, checked once, on construction.
 
     The loop stops after the first step whose measure is below tol: the
     distance ||x_n^k - reference|| with a reference point, otherwise the
     fixed-point residual max(residual, spread).  So a tol <= 0 runs
     exactly max_iter steps.  tol is read by ``_tolerance``: a number, not
     NaN or infinite.  max_iter must be an integer >= 1 (an integral float
-    such as 1e6 is taken as that int).  ``solve`` refuses a reference with
-    a non-finite entry.
+    such as 1e6 is taken as that int).  A reference is kept as a read-only
+    float copy and must be finite; ``solve`` checks its shape.
     """
 
     tol: float = 1e-8
@@ -145,10 +145,14 @@ class StopRule:
     reference: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        self.max_iter = _integer(self.max_iter, "max_iter")
-        if self.max_iter < 1:
+        max_iter = _integer(self.max_iter, "max_iter")
+        if max_iter < 1:
             raise InvalidInputError("max_iter must be at least 1")
-        self.tol = _tolerance(self.tol, "tol")
+        object.__setattr__(self, "max_iter", max_iter)
+        object.__setattr__(self, "tol", _tolerance(self.tol, "tol"))
+        if self.reference is not None:
+            object.__setattr__(self, "reference", _read_only(self.reference))
+            _check_finite("reference", self.reference)
 
 
 def _tolerance(value, name):
@@ -255,6 +259,18 @@ def _block_spread(x):
     return math.sqrt(max(np.add.reduce(diffs, 1).tolist()))
 
 
+def _check_result(value, shape, what, op, k):
+    """ShapeError unless an operator's result whose ``.shape`` is missing or
+    not ``shape`` has it by np.shape, as a list of the right length has."""
+    try:
+        got = np.shape(value)
+    except ValueError:  # lists of unequal lengths have no shape
+        got = "ragged"
+    if got != shape:
+        raise ShapeError(f"{what} (label {op.label!r}) returned shape "
+                         f"{got}, expected {shape}, at step {k}")
+
+
 def step(problem, scheme, state, schedule, policy):
     """Advance the iteration by one step; the step is the whole iteration.
 
@@ -281,6 +297,7 @@ def step(problem, scheme, state, schedule, policy):
     # the sweep's inputs; u is None for the zero forward-input deviation
     z_eff, u = (state.z + state.v, state.u) if deviated else (state.z, None)
 
+    shape = (problem.dim,)  # of each operator's result
     x = np.empty((scheme.n, problem.dim))  # row i is written before read
     acc_rows = scheme.M @ z_eff  # (n, p), row i becomes row i's accumulator
     F, B = problem.F, problem.B
@@ -294,11 +311,17 @@ def step(problem, scheme, state, schedule, policy):
         for j, c_ij, q_row in forward:
             if q_row is not None:
                 w = q_row @ head
-                bvals[j] = B[j].eval(w if u is None else w + u[j])
+                b = B[j].eval(w if u is None else w + u[j])
+                if getattr(b, "shape", None) != shape:
+                    _check_result(b, shape, f"forward map {j}", B[j], state.k)
+                bvals[j] = b
                 n_fwd += 1
             # 1.0 * b is b, bit for bit
             acc -= bvals[j] if c_ij == 1.0 else c_ij * bvals[j]
-        x[i] = F[i].resolvent(d_i, d_i * acc)
+        r = F[i].resolvent(d_i, d_i * acc)
+        if getattr(r, "shape", None) != shape:
+            _check_result(r, shape, f"resolvent {i}", F[i], state.k)
+        x[i] = r
     if not _all_finite(x):
         raise DivergenceError(f"non-finite primal sweep at step {state.k}")
 
@@ -314,8 +337,7 @@ def step(problem, scheme, state, schedule, policy):
         raise DivergenceError(f"non-finite capacity l2 = {l2} "
                               f"at step {state.k}")
     budget = state.xi * l2
-    gamma_next = schedule.gamma_at(state.k + 1)
-    xi_next = schedule.xi_at(state.k + 1)
+    gamma_next, xi_next = schedule.at(state.k + 1)
     if type(policy) is ZeroPolicy:
         u_new, v_new, cost = (np.zeros((scheme.m, problem.dim)),
                               np.zeros(dz.shape), 0.0)
@@ -361,13 +383,14 @@ def solve(problem, scheme, schedule=None, policy=None, stop=None, z0=None,
     before the first step; a failing report refuses to run.  Returns a
     SolveResult whose ``x`` is the last primal block (the consensus point
     once converged) and whose ``converged`` flag distinguishes a met
-    tolerance from an exhausted iteration cap.  A ``z0`` or reference with
-    a non-finite entry raises InvalidInputError before the first step.
+    tolerance from an exhausted iteration cap.  The schedule and stop rule
+    were checked when built; before the first step ``solve`` checks what
+    needs the problem: the shapes of ``z0`` and the reference, and that
+    ``z0`` is finite (InvalidInputError).
     """
     schedule = schedule if schedule is not None else ParamSchedule()
     policy = policy if policy is not None else ZeroPolicy()
     stop = stop if stop is not None else StopRule()
-    stop.__post_init__()  # its fields may have changed since construction
     _refuse_unfit(problem, scheme)
 
     n, m, p = scheme.n, scheme.m, problem.dim
@@ -378,16 +401,13 @@ def solve(problem, scheme, schedule=None, policy=None, stop=None, z0=None,
         if z.shape != (n - 1, p):
             raise ShapeError(f"z0 must have shape {(n - 1, p)}")
         _check_finite("z0", z)
-    reference = None
-    if stop.reference is not None:
-        reference = np.asarray(stop.reference, dtype=float)
-        if reference.shape != (p,):
-            raise ShapeError(f"reference must have shape {(p,)}")
-        _check_finite("reference", reference)
+    reference = stop.reference
+    if reference is not None and reference.shape != (p,):
+        raise ShapeError(f"reference must have shape {(p,)}")
 
+    gamma, xi = schedule.at(0)
     state = SolverState(k=0, z=z, x=None, u=np.zeros((m, p)),
-                        v=np.zeros((n - 1, p)), l2=0.0,
-                        gamma=schedule.gamma_at(0), xi=schedule.xi_at(0))
+                        v=np.zeros((n - 1, p)), l2=0.0, gamma=gamma, xi=xi)
     policy.reset(problem, scheme)
     traj = Trajectory(record_states=record_states)
     traj.record_state(state.z)

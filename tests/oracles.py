@@ -5,7 +5,8 @@ golden-section searches, exhaustive enumeration, textbook update formulas,
 dense eigensolves.  None of it shares code with the library, so agreement
 is evidence rather than tautology.  The one exception is the worst-case
 deviation policy at the end: it is a test input, not an oracle, and it
-clips its pair with the library's ``enforce_budget``.
+clips its pair with the library's ``enforce_budget`` and takes its first
+forward inputs from one library ``step``.
 """
 
 import itertools
@@ -14,7 +15,8 @@ import types
 
 import numpy as np
 
-from splitdev.deviations import enforce_budget
+from splitdev.deviations import ZeroPolicy, enforce_budget
+from splitdev.solver import ParamSchedule, SolverState, step
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -317,18 +319,33 @@ class WorstCasePolicy:
     the raw pair v = 1e6 (z^{k+1} - z*), u = 1e6 dw (zero before the
     second sweep), far outside any budget; ``enforce_budget`` then scales
     v to exactly the share rho of the budget and u to the share 1 - rho.
+
+    Given ``w_star``, the forward-input stack Q x* of the solution, u is
+    1e6 (w^k - w_star) instead, along each input's distance from its
+    value at x*: w^0 = Q x^0 is the first sweep's, taken from one plain
+    ``step`` at z = 0, and w^k = w^0 plus the sum of the window's dw.
     """
 
-    def __init__(self, z_star, rho):
-        self.z_star, self.rho = np.asarray(z_star), rho
+    def __init__(self, z_star, rho, w_star=None):
+        self.z_star, self.rho, self.w_star = np.asarray(z_star), rho, w_star
 
     def reset(self, problem, scheme):
         self.z = np.zeros(self.z_star.shape)
+        if self.w_star is not None:
+            first = SolverState(k=0, z=self.z, x=None,
+                                u=np.zeros((scheme.m, problem.dim)),
+                                v=self.z, l2=0.0, gamma=0.5, xi=0.0)
+            self.w = scheme.Q @ step(problem, scheme, first, ParamSchedule(),
+                                     ZeroPolicy()).x
 
     def produce(self, window, budget, gamma_next, theta, lipschitz):
         self.z = self.z + window.dz
         v_raw = 1e6 * (self.z - self.z_star)
-        if window.dw is None:
+        if self.w_star is not None:
+            if window.dw is not None:
+                self.w = self.w + window.dw
+            u_raw = 1e6 * (self.w - self.w_star)
+        elif window.dw is None:
             u_raw = np.zeros((len(lipschitz), self.z.shape[-1]))
         else:
             u_raw = 1e6 * window.dw

@@ -8,6 +8,7 @@ every run the suite performed.
 """
 
 import functools
+import itertools
 import json
 import time
 
@@ -268,24 +269,26 @@ def test_criterion_3_fejer_monotonicity():
 
 
 def test_fejer_inequalities_under_a_worst_case_policy():
-    # the even seeds of criterion 3's family, each at rho 0, 0.5 and 1: the
-    # policy's raw pair is 1e6 times too large, so nearly every pair is
-    # clipped to exactly its budget, and the Fejer inequalities must still
-    # hold; a pair that round-off puts a few ulps over a fully spent budget
-    # must pass the step's budget check
+    # the even seeds of criterion 3's family, each at rho 0, 0.5 and 1 and
+    # with u along dw or along w^k - Q x*: the policy's raw pair is 1e6
+    # times too large, so nearly every pair is clipped to exactly its
+    # budget, and the Fejer inequalities must still hold; a pair that
+    # round-off puts a few ulps over a fully spent budget must pass the
+    # step's budget check
     worst = fejer = -np.inf
     spent = over = 0
     for seed, (prob, sc) in enumerate(instance_family()):
         if seed % 2:
             continue
-        z_star = solve(prob, sc, schedule=SCHEDULE,
-                       stop=StopRule(tol=1e-11)).state.z
-        for rho in (0.0, 0.5, 1.0):
+        ref = solve(prob, sc, schedule=SCHEDULE, stop=StopRule(tol=1e-11))
+        z_star = ref.state.z
+        for rho, w_star in itertools.product(
+                (0.0, 0.5, 1.0), (None, sc.Q @ ref.state.x)):
             res = tracked_solve(prob, sc, schedule=SCHEDULE,
-                                policy=WorstCasePolicy(z_star, rho),
+                                policy=WorstCasePolicy(z_star, rho, w_star),
                                 stop=StopRule(tol=1e-8, max_iter=20000),
                                 record_states=True)
-            assert res.converged, (seed, rho)
+            assert res.converged, (seed, rho, w_star is None)
             tr = res.trajectory
             run_worst, run_fejer = _fejer_violations(tr, z_star)
             worst, fejer = max(worst, run_worst), max(fejer, run_fejer)

@@ -204,6 +204,23 @@ def test_markowitz_problem_validation():
     np.testing.assert_array_equal(kept, 0.5 * (Lam + Lam.T))
 
 
+def test_model_data_are_read_only_copies():
+    # the risk gradient keeps the r and Lambda its constant was set from
+    Lam, r, x0 = np.eye(2), np.array([0.1, -0.1]), np.array([0.5, 0.5])
+    mp = MarkowitzProblem(Lam, r, 6.0, x0)
+    prob = build_problem(mp)
+    before = prob.B[0].eval(np.ones(2))
+    Lam[0, 0], r[0] = 100.0, 7.0
+    np.testing.assert_array_equal(prob.B[0].eval(np.ones(2)), before)
+    returns = np.array([[0.01, 0.02], [0.03, -0.01]])
+    data = MarketData(returns)
+    returns[0, 0] = np.nan
+    assert data.returns[0, 0] == 0.01
+    for a in (mp.Lambda, mp.r, mp.x0, data.returns):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+
+
 def test_build_problem_wiring():
     mp = MarkowitzProblem(np.eye(2), np.zeros(2), 6.0, np.zeros(2))
     prob = build_problem(mp)

@@ -1,5 +1,7 @@
 """Proximal maps, forward maps and the operator containers."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -398,6 +400,36 @@ def test_problem_validates_structure():
     np.testing.assert_allclose(prob.lipschitz, [1.0])
     with pytest.raises(ValueError):
         prob.lipschitz[0] = 2.0  # read-only view
+
+
+@pytest.mark.parametrize("F,B,where", [
+    ([lambda d, y: y, zero_monotone()], [], "F[0] must be a MonotoneOp, "
+     "got function"),
+    ([zero_monotone(), CocoerciveOp(lambda x: x, 1.0)], [], "F[1] must be a "
+     "MonotoneOp, got CocoerciveOp"),
+    ([zero_monotone()] * 2, [CocoerciveOp(lambda x: x, 1.0), zero_monotone()],
+     "B[1] must be a CocoerciveOp, got MonotoneOp"),
+], ids=["function", "forward-as-resolvent", "resolvent-as-forward"])
+def test_problem_checks_the_type_of_each_operator(F, B, where):
+    # refused on construction, not by an AttributeError inside solve
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(where)}$"):
+        Problem(F, B, dim=1)
+
+
+@pytest.mark.parametrize("keep", [affine_monotone, affine_cocoercive])
+def test_affine_operators_keep_their_own_data(keep):
+    # a later change to the caller's A or b changes neither the map nor,
+    # for the cocoercive one, outgrows its constant
+    A, b = np.eye(2), np.array([1.0, -1.0])
+    op, twin = keep(A, b), keep(A.copy(), b.copy())
+    A[0, 0], b[0] = 100.0, 50.0
+    if keep is affine_monotone:  # at a stepsize the resolvent has not seen
+        np.testing.assert_array_equal(op.resolvent(0.5, np.ones(2)),
+                                      twin.resolvent(0.5, np.ones(2)))
+    else:
+        np.testing.assert_array_equal(op.eval(np.ones(2)),
+                                      twin.eval(np.ones(2)))
+        assert op.lipschitz == twin.lipschitz
 
 
 @pytest.mark.parametrize("dim", [2.7, True])

@@ -33,6 +33,7 @@ from splitdev import (
     deviation_cost,
     douglas_rachford,
     solve,
+    validate,
     zero_monotone,
 )
 from splitdev.markowitz import (
@@ -128,14 +129,19 @@ deviation_policies = st.one_of(
 
 def test_param_schedule_validation():
     sched = ParamSchedule(gamma=0.9, xi=0.9, epsilon=1e-3)
-    assert sched.gamma_at(0) == 0.9
-    assert sched.xi_at(3) == 0.9
+    assert sched.at(0) == (0.9, 0.9) and sched.at(3) == (0.9, 0.9)
     varying = ParamSchedule(gamma=lambda k: 0.5 + 0.1 * (k % 2), xi=0.0)
-    assert varying.gamma_at(1) == pytest.approx(0.6)
+    assert varying.at(1) == (pytest.approx(0.6), 0.0)
     with pytest.raises(InvalidInputError):
-        ParamSchedule(gamma=1.0).gamma_at(0)  # outside [eps, 1 - eps]
+        ParamSchedule(gamma=1.0)  # outside [eps, 1 - eps]
     with pytest.raises(InvalidInputError):
-        ParamSchedule(xi=0.9995).xi_at(0)
+        ParamSchedule(xi=0.9995)
+    # a callable's value is checked at the step that reads it
+    late = ParamSchedule(xi=lambda k: 0.5 if k < 2 else 1.0)
+    assert late.at(1) == (0.9, 0.5)
+    with pytest.raises(InvalidInputError,
+                       match=re.escape("xi_2 = 1.0 outside [0, 0.999]")):
+        late.at(2)
     with pytest.raises(InvalidInputError):
         ParamSchedule(gamma=1.5)  # a constant is checked on construction
     with pytest.raises(InvalidInputError):
@@ -157,9 +163,94 @@ def test_stop_rule_rejects_max_iter_below_one():
     with pytest.raises(InvalidInputError):
         StopRule(max_iter=0)  # checked on construction
     stop = StopRule(max_iter=1)
-    stop.max_iter = 0
-    with pytest.raises(InvalidInputError):  # and again by solve
+    with pytest.raises(AttributeError):  # frozen, so checked once
+        stop.max_iter = 0
+    assert stop.max_iter == 1
+
+
+def test_solve_inputs_refuse_assignment_and_deletion():
+    # each is checked once, when built, so no field may change afterwards
+    built = [quadratic_pair(), davis_yin(0.5),
+             StopRule(tol=1e-6, max_iter=9, reference=[0.0]),
+             ParamSchedule(gamma=lambda k: 0.5)]
+    for obj in built:
+        names = (vars(obj) if isinstance(obj, (Problem, sd.Scheme))
+                 else [f.name for f in dataclasses.fields(obj)])
+        assert names
+        for name in names:
+            value = getattr(obj, name)
+            with pytest.raises(AttributeError):
+                setattr(obj, name, value)
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+            assert getattr(obj, name) is value
+    # equality and hash stay those of identity on the two with arrays
+    assert davis_yin(0.5) != davis_yin(0.5) and hash(built[1])
+    assert quadratic_pair() != quadratic_pair() and hash(built[0])
+
+
+def test_a_scheme_cannot_change_after_its_check():
+    # a theta set to -1 after validate would price every deviation at 0.0
+    # and let a policy steer the solve to a wrong point
+    sc = davis_yin(0.5)
+    with pytest.raises(AttributeError, match="cannot assign to field 'theta'"):
+        sc.theta = -1.0
+    assert sc.theta == 1.0 and validate(sc, np.ones(1)).passed
+    for a in (sc.M, sc.S, sc.C, sc.Q, sc.d):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+    problem = quadratic_pair()
+    with pytest.raises(AttributeError, match="cannot assign to field 'B'"):
+        problem.B = (affine_cocoercive(np.eye(1), np.zeros(1)),)
+    assert problem.m == 0 and problem.lipschitz.shape == (0,)
+
+
+def test_stop_rule_keeps_a_read_only_copy_of_its_reference():
+    given = np.array([1.0, 2.0])
+    stop = StopRule(reference=given)
+    given[0] = np.nan  # checked once, on construction: the copy stays
+    np.testing.assert_array_equal(stop.reference, [1.0, 2.0])
+    with pytest.raises(ValueError, match="read-only"):
+        stop.reference[0] = 0.0
+    with pytest.raises(ShapeError, match=re.escape("shape (1,)")):
         solve(quadratic_pair(), douglas_rachford(gamma=1.0), stop=stop)
+
+
+@pytest.mark.parametrize("kind,result,got", [
+    ("resolvent", lambda y: 0.5, "()"),
+    ("resolvent", lambda y: [[1.0], [2.0, 3.0], [4.0]], "ragged"),
+    ("forward", lambda x: x.sum(), "()"),
+    ("forward", lambda x: np.outer(x, x), "(3, 3)"),
+], ids=["scalar", "ragged", "sum", "matrix"])
+def test_an_operator_result_of_the_wrong_shape_raises(kind, result, got):
+    # a scalar or a sum would broadcast into the sweep and could report
+    # "converged" at a wrong point
+    eye = MonotoneOp(lambda d, y: y / (1 + d), label="shrink")
+    if kind == "resolvent":
+        problem = Problem([MonotoneOp(lambda d, y: result(y), label="bad"),
+                           eye], dim=3)
+        scheme, what = douglas_rachford(1.0), "resolvent 0 (label 'bad')"
+    else:
+        problem = Problem([zero_monotone(), eye],
+                          [sd.CocoerciveOp(result, 1.0, "bad")], dim=3)
+        scheme, what = davis_yin(0.5), "forward map 0 (label 'bad')"
+    message = f"{what} returned shape {got}, expected (3,), at step 0"
+    with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+        solve(problem, scheme)
+
+
+def test_an_operator_may_return_a_list_of_the_right_length():
+    # np.shape reads a list's shape, and the sweep's bits stay the same
+    def problem(as_list):
+        wrap = list if as_list else np.asarray
+        return Problem(
+            [MonotoneOp(lambda d, y: wrap(y / (1 + d))), zero_monotone()],
+            [sd.CocoerciveOp(lambda x: wrap(0.5 * x), 1.0)], dim=2)
+    stop = StopRule(tol=1e-12, max_iter=200)
+    runs = [solve(problem(as_list), davis_yin(0.5), stop=stop)
+            for as_list in (False, True)]
+    assert runs[0].iterations == runs[1].iterations
+    np.testing.assert_array_equal(runs[0].x, runs[1].x)
 
 
 def test_stop_rule_reads_max_iter_as_an_integer():
@@ -179,10 +270,10 @@ def test_solve_refuses_a_non_finite_reference(bad):
     calls = []
     spy = MonotoneOp(lambda d, y: calls.append(1) or y, label="spy")
     problem = Problem([spy, zero_monotone()], dim=1)
-    stop = StopRule(tol=1e-8, max_iter=2000, reference=[bad])
     with pytest.raises(InvalidInputError,
                        match="^reference contains non-finite entries$"):
-        solve(problem, douglas_rachford(1.0), stop=stop)
+        solve(problem, douglas_rachford(1.0),
+              stop=StopRule(tol=1e-8, max_iter=2000, reference=[bad]))
     assert calls == []
 
 
@@ -223,9 +314,9 @@ def test_stop_rule_rejects_nan_tolerances():
     stop = StopRule(tol=-1.0, max_iter=7)
     res = solve(quadratic_pair(), douglas_rachford(gamma=1.0), stop=stop)
     assert res.iterations == 7 and not res.converged
-    stop.tol = math.nan
-    with pytest.raises(InvalidInputError, match="tol"):  # and again by solve
-        solve(quadratic_pair(), douglas_rachford(gamma=1.0), stop=stop)
+    with pytest.raises(AttributeError):  # frozen, so checked once
+        stop.tol = math.nan
+    assert stop.tol == -1.0
 
 
 def test_tol_zero_runs_max_iter_steps_without_a_reference():
@@ -839,12 +930,12 @@ def test_solve_calls_step_and_each_operator_once_per_iteration(
         return wrapper
 
     monkeypatch.setattr(sd.solver, "step", counted("step", sd.solver.step))
-    monkeypatch.setattr(prob, "F", tuple(
-        dataclasses.replace(op, resolvent=counted(f"F{i}", op.resolvent))
-        for i, op in enumerate(prob.F)))
-    monkeypatch.setattr(prob, "B", tuple(
-        dataclasses.replace(op, eval=counted(f"B{j}", op.eval))
-        for j, op in enumerate(prob.B)))
+    # a Problem is immutable, so the wrappers go on a new one
+    prob = Problem(
+        [dataclasses.replace(op, resolvent=counted(f"F{i}", op.resolvent))
+         for i, op in enumerate(prob.F)],
+        [dataclasses.replace(op, eval=counted(f"B{j}", op.eval))
+         for j, op in enumerate(prob.B)], dim=prob.dim)
     res = solve(prob, sc, schedule=ParamSchedule(gamma=gamma, xi=xi),
                 policy=sd.parse_policy(policy),
                 stop=StopRule(tol=1e-10, max_iter=300, reference=reference))
